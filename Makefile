@@ -103,30 +103,31 @@ fleet:
 	$(GO) test -race -timeout=300s ./internal/phifleet
 	PHIOPENSSL_FLEET=1 $(GO) test -race -timeout=300s -count=1 -run 'TestFleetHammer' ./internal/phifleet
 
-# overload is the admission-control acceptance gate: the phiadmit suite
-# under the race detector (door shedding, brownout hysteresis, weighted
-# fairness, deadline propagation, the A9 model invariants) plus the
-# env-gated hammer (TestOverloadHammer): a multi-tenant soak driving a
-# controller-fronted fleet past capacity with faults active, closed
-# mid-shed, requiring every admitted request to resolve exactly once.
+# overload is the admission-control acceptance gate: the phiadmit and
+# phisim suites under the race detector (door shedding, brownout
+# hysteresis, weighted fairness, deadline propagation, the A9 simulator
+# invariants) plus the env-gated hammer (TestOverloadHammer): a
+# multi-tenant soak driving a controller-fronted fleet past capacity with
+# faults active, closed mid-shed, requiring every admitted request to
+# resolve exactly once.
 overload:
-	$(GO) test -race -timeout=300s ./internal/phiadmit
+	$(GO) test -race -timeout=300s ./internal/phiadmit ./internal/phisim
 	$(GO) test -race -timeout=300s -run 'TestSubmitRejectsDeadOnArrival|TestCanceledLanesDroppedAtSeal|TestOverflowCapSheds|TestRetryBudget|TestJobExpiry' \
 		./internal/phiserve ./internal/phipool
 	PHIOPENSSL_OVERLOAD=1 $(GO) test -race -timeout=300s -count=1 -run 'TestOverloadHammer' ./internal/phiadmit
 
-# observe is the request-journey acceptance gate: the phitrace suite under
-# the race detector (journey lifecycle, tail sampling, burn windows, the
-# incident flight recorder, the A10 model invariants), the telemetry
-# observability additions (trace-drop accounting, histogram quantiles, the
-# /journeys + /incidents endpoints), the env-gated hammer
+# observe is the request-journey acceptance gate: the phitrace and phisim
+# suites under the race detector (journey lifecycle, tail sampling, burn
+# windows, the incident flight recorder, the A10 simulator invariants),
+# the telemetry observability additions (trace-drop accounting, histogram
+# quantiles, the /journeys + /incidents endpoints), the env-gated hammer
 # (TestObserveHammer): a 3-tenant overload soak with the recorder wired
 # through door, fleet, scheduler and pool requiring one coherent journey —
 # exactly one terminal, monotone timestamps, hops within budget — per
 # Submit, and finally the <2% enabled-overhead budget re-checked with
 # journeys + tail sampling active.
 observe:
-	$(GO) test -race -timeout=300s ./internal/phitrace ./internal/telemetry
+	$(GO) test -race -timeout=300s ./internal/phitrace ./internal/phisim ./internal/telemetry
 	PHIOPENSSL_OBSERVE=1 $(GO) test -race -timeout=300s -count=1 -run 'TestObserveHammer' ./internal/phiadmit
 	$(GO) test -timeout=300s -run 'TestTelemetryOverhead' ./internal/bench
 

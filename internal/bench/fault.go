@@ -10,6 +10,7 @@ import (
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/vpu"
 )
@@ -22,7 +23,7 @@ func init() {
 const a7Workers = 16
 
 // runA7 sweeps the per-lane per-pass fault rate through the virtual-time
-// fault model (phiserve.FaultModel): verified batch execution, bounded
+// simulator (phisim) with faults on: verified batch execution, bounded
 // retries, scalar non-CRT fallback and the circuit breaker. It quantifies
 // the price of surviving a faulty card — how goodput and tail latency
 // decay as faults climb from "none" to "every pass is poison", and where
@@ -38,31 +39,10 @@ func runA7(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered *verified* kernel pass
-	// (CRT batch + Bellcore re-encryption check): the resilient server
-	// never runs an unverified pass, so neither does the model.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	// Cost every fill count with a real metered *verified* kernel pass:
+	// the resilient server never runs an unverified pass, so neither does
+	// the simulator.
+	costs := verifiedPassCosts(rng, key)
 
 	// Unverified full pass, for the verification-overhead footnote.
 	var unverified float64
@@ -94,14 +74,14 @@ func runA7(o Options) *Table {
 		}
 	})
 
-	model := phiserve.FaultModel{
-		LoadModel:  phiserve.LoadModel{Machine: m, Workers: a7Workers, CostPerFill: costs},
-		MaxRetries: 2,
-		ScalarCost: scalar,
-	}
 	pass := m.Latency(a7Workers, costs[phiserve.BatchSize])
+	faults := &phisim.Faults{ScalarCost: scalar, Resilience: phiserve.Resilience{MaxRetries: 2}}
+	model := phisim.Config{
+		Machine: m, Workers: a7Workers, CostPerFill: costs, Cards: 1, Keys: 1,
+		FillDeadline: time.Duration(pass * float64(time.Second)), // 1 full pass
+		Faults:       faults,
+	}
 	capacity := float64(a7Workers*phiserve.BatchSize) / pass
-	deadline := time.Duration(pass * float64(time.Second)) // 1 full pass
 	load := 0.6 * capacity
 
 	t := &Table{
@@ -113,8 +93,8 @@ func runA7(o Options) *Table {
 	}
 	rates := []float64{0, 1e-4, 1e-3, 1e-2, 0.05, 0.2}
 	for _, rate := range rates {
-		model.LaneFaultRate = rate
-		pt, err := model.Simulate(rng, reqs, load, deadline)
+		faults.LaneRate = rate
+		pt, err := model.Simulate(rng, reqs, load)
 		if err != nil {
 			panic(err)
 		}
@@ -138,6 +118,6 @@ func runA7(o Options) *Table {
 		"every pass pays the Bellcore re-encryption check; faulted lanes retry on fresh batches",
 		"(MaxRetries 2) then degrade to the scalar fallback; the breaker opens on the rolling",
 		"pass-fault rate and probes recovery after its cooldown. Poisson arrivals at 60% of",
-		"full-fill capacity, fill deadline = one pass (phiserve.FaultModel, seeded)")
+		"full-fill capacity, fill deadline = one pass (phisim with faults, seeded)")
 	return t
 }

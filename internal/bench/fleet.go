@@ -5,12 +5,8 @@ import (
 	"math/rand"
 	"time"
 
-	"phiopenssl/internal/bn"
-	"phiopenssl/internal/knc"
-	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
-	"phiopenssl/internal/rsakit"
-	"phiopenssl/internal/vpu"
+	"phiopenssl/internal/phisim"
 )
 
 func init() {
@@ -21,7 +17,7 @@ func init() {
 const a8Workers = 16
 
 // runA8 sweeps fleet size against offered load through the virtual-time
-// fleet model (phifleet.Model): a handful of keys consistent-hashed over
+// simulator (phisim): a handful of keys consistent-hashed over
 // the cards, Poisson arrivals, per-card executor sets, and work stealing
 // re-homing batches whose card is busy. The acceptance row is the fixed
 // saturating load (3.6x one card's full-fill capacity): a 4-card fleet
@@ -35,7 +31,7 @@ func runA8(o Options) *Table {
 	bits := 2048
 	// The trace must be long against one kernel pass, or the fixed
 	// drain-the-last-pass tail eats into the measured throughput ratio;
-	// the model is virtual-time, so a long trace costs microseconds.
+	// the simulator is virtual-time, so a long trace costs microseconds.
 	reqs := 30000
 	if o.Quick {
 		bits = 512
@@ -44,40 +40,17 @@ func runA8(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered verified kernel pass,
-	// exactly as A6 does for the single-card model.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	// Cost every fill count with a real metered verified kernel pass, as A6 does.
+	costs := verifiedPassCosts(rng, key)
 
 	pass := m.Latency(a8Workers, costs[phiserve.BatchSize])
 	capacity := float64(a8Workers*phiserve.BatchSize) / pass // one card, req/s
-	deadline := time.Duration(0.5 * pass * float64(time.Second))
 	const keys = 8
-
-	model := func(cards int, steal bool) phifleet.Model {
-		return phifleet.Model{
+	model := func(cards int, steal bool) phisim.Config {
+		return phisim.Config{
 			Machine: m, Workers: a8Workers, CostPerFill: costs,
 			Cards: cards, Keys: keys, Steal: steal,
+			FillDeadline: time.Duration(0.5 * pass * float64(time.Second)),
 		}
 	}
 
@@ -90,7 +63,7 @@ func runA8(o Options) *Table {
 	}
 
 	// Single-card reference throughput at the fixed saturating load; the
-	// model seed is pinned per (cards, steal, load) cell for stable rows.
+	// simulator seed is pinned per (cards, steal, load) cell for stable rows.
 	var base float64
 	loads := []float64{0.8, 1.8, 3.6}
 	for _, cards := range []int{1, 2, 4, 8} {
@@ -100,7 +73,7 @@ func runA8(o Options) *Table {
 			}
 			for _, lf := range loads {
 				cellRng := rand.New(rand.NewSource(o.Seed + 108))
-				pt, err := model(cards, steal).Simulate(cellRng, reqs, lf*capacity, deadline)
+				pt, err := model(cards, steal).Simulate(cellRng, reqs, lf*capacity)
 				if err != nil {
 					panic(err)
 				}
@@ -140,6 +113,6 @@ func runA8(o Options) *Table {
 		"stealing must reach >=3x). Mean fill is arrival/deadline-driven, so stealing moves work",
 		"without starving batches. With 8 keys hashed over the cards the no-steal rows bottleneck on",
 		"the hottest card; stealing re-homes busy-card batches to the globally earliest-free executor.",
-		"Poisson arrivals, virtual-time model (phifleet.Model); same identical trace per cards/steal cell.")
+		"Poisson arrivals, virtual-time simulator (phisim); same identical trace per cards/steal cell.")
 	return t
 }

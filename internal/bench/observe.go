@@ -4,14 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
-	"phiopenssl/internal/bn"
-	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
-	"phiopenssl/internal/rsakit"
-	"phiopenssl/internal/vpu"
 )
 
 func init() {
@@ -23,8 +18,8 @@ func init() {
 const a10Cards = 2
 
 // runA10 sweeps offered load from 1x to 4x of the two-card fleet's
-// capacity through the virtual-time observability model (phitrace.Model):
-// the same batching + admission policies as A9, but multi-card and
+// capacity through the virtual-time simulator (phisim): the same batching
+// and admission policies as A9, but over two ring-routed cards and
 // driving a real journey Recorder with the virtual clock. The table shows
 // the journey stream's accounting at each point — every arrival resolves
 // exactly one journey, anomalous journeys are all kept, normal
@@ -43,58 +38,20 @@ func runA10(o Options) *Table {
 	key := keyFor(bits)
 	m := machine()
 
-	// Cost every fill count with a real metered verified kernel pass,
-	// exactly as A6/A8/A9 do.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	// Cost every fill count with a real metered verified kernel pass, as A6/A8/A9 do.
+	costs := verifiedPassCosts(rng, key)
 
 	pass := m.Latency(a9Workers, costs[phiserve.BatchSize])
-	dur := func(x float64) time.Duration {
-		return time.Duration(x * pass * float64(time.Second))
-	}
-	model := phitrace.Model{
-		Machine:       m,
-		Cards:         a10Cards,
-		Workers:       a9Workers,
-		CostPerFill:   costs,
-		Keys:          4,
-		FillDeadline:  dur(0.26),
-		SLO:           dur(2.6),
-		BrownoutEnter: dur(1.82),
-		BrownoutExit:  dur(1.37),
-		Margin:        0.25,
-		Tenants: []phitrace.ModelTenant{
-			{ID: "gold", Share: 0.5, Weight: 10},
-			{ID: "silver", Share: 0.3, Weight: 3},
-			{ID: "bronze", Share: 0.2, Weight: 1},
-		},
-	}
+	model := a9Config(m, costs, pass)
+	model.Cards, model.Keys = a10Cards, 4
+	model.Admission = true
+	model.Journeys = &phitrace.Config{RingSize: 512, SampleN: 16}
 	capacity := model.Capacity()
 
 	t := &Table{
 		ID: "a10",
 		Title: fmt.Sprintf("Request journeys under overload, RSA-%d (%d cards x %d workers, SLO %.0fms, sample 1-in-16)",
-			bits, a10Cards, a9Workers, 1e3*model.SLO.Seconds()),
+			bits, a10Cards, a9Workers, 1e3*model.Door.SLO.Seconds()),
 		Columns: []string{
 			"load", "offered req/s", "admitted", "shed slo", "shed fair", "dropped",
 			"goodput", "p99 adm ms", "resolved", "kept anom", "kept samp", "discarded", "incidents", "burn all",
@@ -103,8 +60,7 @@ func runA10(o Options) *Table {
 
 	for _, lf := range []float64{1, 2, 4} {
 		cellRng := rand.New(rand.NewSource(o.Seed + 110))
-		pt, rec, err := model.Simulate(cellRng, reqs, lf*capacity,
-			phitrace.Config{RingSize: 512, SampleN: 16})
+		pt, err := model.Simulate(cellRng, reqs, lf*capacity)
 		if err != nil {
 			panic(err)
 		}
@@ -117,7 +73,7 @@ func runA10(o Options) *Table {
 			fmt.Sprintf("%d", pt.ShedTenant),
 			fmt.Sprintf("%d", pt.Expired),
 			f1(pt.Goodput),
-			f2(1e3 * pt.P99Admitted.Seconds()),
+			f2(1e3 * pt.P99Latency.Seconds()),
 			fmt.Sprintf("%d", c.Resolved),
 			fmt.Sprintf("%d", c.KeptAnomalous),
 			fmt.Sprintf("%d", c.KeptSampled),
@@ -141,7 +97,7 @@ func runA10(o Options) *Table {
 					tp.ID, tp.Offered, tp.Admitted, tp.ShedOverload, tp.ShedTenant, tp.Good, tp.Burn))
 			}
 			if o.Journeys {
-				t.Notes = append(t.Notes, sampleJourneyNotes(rec)...)
+				t.Notes = append(t.Notes, sampleJourneyNotes(pt.Journeys)...)
 			}
 		}
 	}
@@ -153,7 +109,7 @@ func runA10(o Options) *Table {
 		"so 'kept anom'+'kept samp'+'discarded' = 'resolved' at every load point.",
 		"'burn all' is the aggregate SLO burn rate (bad fraction over the 5% error budget) at run end;",
 		"the 4x shed storm auto-triggers a shed-storm incident naming the dominant tenant and card.",
-		"Poisson arrivals, virtual-time model (phitrace.Model); identical trace per load cell.")
+		"Poisson arrivals, virtual-time simulator (phisim); identical trace per load cell.")
 	return t
 }
 

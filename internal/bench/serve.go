@@ -9,6 +9,7 @@ import (
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phisim"
 	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/vpu"
 )
@@ -23,7 +24,7 @@ func init() {
 const a6Workers = 16
 
 // runA6 sweeps the streaming scheduler's fill deadline against offered
-// load through the deterministic virtual-time model (phiserve.LoadModel),
+// load through the deterministic virtual-time simulator (phisim),
 // costing every pass with real metered PrivateOpBatchN cycles. It shows
 // the deadline as the latency/throughput knob: short deadlines dispatch
 // starved batches (per-op cost drifts toward the horizontal engine's),
@@ -41,30 +42,8 @@ func runA6(o Options) *Table {
 
 	// Cost every fill count with a real metered *verified* kernel pass
 	// (CRT batch + Bellcore re-encryption check) — the cost the resilient
-	// server actually pays. Padding makes the pass lane-uniform, but
-	// measuring each fill keeps the model honest about it.
-	var costs [phiserve.BatchSize + 1]float64
-	for fill := 1; fill <= phiserve.BatchSize; fill++ {
-		cs := make([]bn.Nat, fill)
-		for l := range cs {
-			c, err := bn.RandomRange(rng, bn.One(), key.N)
-			if err != nil {
-				panic(err)
-			}
-			cs[l] = c
-		}
-		u := vpu.New()
-		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
-		if err != nil {
-			panic(err)
-		}
-		for l, lerr := range laneErrs {
-			if lerr != nil {
-				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
-			}
-		}
-		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
-	}
+	// server actually pays.
+	costs := verifiedPassCosts(rng, key)
 
 	// The per-op (horizontal) engine is the floor the scheduler has to
 	// beat once batches fill.
@@ -75,7 +54,7 @@ func runA6(o Options) *Table {
 		}
 	})
 
-	model := phiserve.LoadModel{Machine: m, Workers: a6Workers, CostPerFill: costs}
+	model := phisim.Config{Machine: m, Workers: a6Workers, CostPerFill: costs, Cards: 1, Keys: 1}
 	pass := m.Latency(a6Workers, costs[phiserve.BatchSize]) // one full kernel pass, seconds
 	capacity := float64(a6Workers*phiserve.BatchSize) / pass
 
@@ -89,9 +68,9 @@ func runA6(o Options) *Table {
 	deadlines := []float64{0.05, 0.25, 1, 4} // x one full pass
 	loads := []float64{0.05, 0.2, 0.6, 0.9}  // x full-fill capacity
 	for _, df := range deadlines {
-		deadline := time.Duration(df * pass * float64(time.Second))
+		model.FillDeadline = time.Duration(df * pass * float64(time.Second))
 		for _, lf := range loads {
-			pt, err := model.Simulate(rng, reqs, lf*capacity, deadline)
+			pt, err := model.Simulate(rng, reqs, lf*capacity)
 			if err != nil {
 				panic(err)
 			}
@@ -115,6 +94,37 @@ func runA6(o Options) *Table {
 			perOp, costs[phiserve.BatchSize]/perOp),
 		"a partial batch pads unused lanes and costs a full pass, so short deadlines at light",
 		"load waste lanes (cycles/op rises toward the singleton cost); longer deadlines trade",
-		"p50/p99 latency for fill. Poisson arrivals, virtual-time model (phiserve.LoadModel)")
+		"p50/p99 latency for fill. Poisson arrivals, virtual-time simulator (phisim)")
 	return t
+}
+
+// verifiedPassCosts measures the simulated cycle cost of one verified
+// kernel pass (CRT batch + Bellcore re-encryption check) at every fill
+// count, on random ciphertexts drawn from rng. Padding makes the pass
+// lane-uniform, but measuring each fill keeps the simulator honest about
+// it.
+func verifiedPassCosts(rng *rand.Rand, key *rsakit.PrivateKey) [phiserve.BatchSize + 1]float64 {
+	var costs [phiserve.BatchSize + 1]float64
+	for fill := 1; fill <= phiserve.BatchSize; fill++ {
+		cs := make([]bn.Nat, fill)
+		for l := range cs {
+			c, err := bn.RandomRange(rng, bn.One(), key.N)
+			if err != nil {
+				panic(err)
+			}
+			cs[l] = c
+		}
+		u := vpu.New()
+		_, laneErrs, err := rsakit.PrivateOpBatchVerifiedN(u, key, cs)
+		if err != nil {
+			panic(err)
+		}
+		for l, lerr := range laneErrs {
+			if lerr != nil {
+				panic(fmt.Sprintf("bench: clean pass failed verification at lane %d: %v", l, lerr))
+			}
+		}
+		costs[fill] = knc.KNCVectorCosts.VectorCycles(u.Counts())
+	}
+	return costs
 }

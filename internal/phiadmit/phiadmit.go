@@ -181,10 +181,7 @@ type tenantState struct {
 	id     string
 	weight float64
 	slo    time.Duration
-	rate   float64 // tokens per second during brownout
-	burst  float64
-	tokens float64
-	last   time.Time
+	bucket Bucket
 	// allowed is the workload allow-list as a set; nil means every kind.
 	allowed map[phiwork.Kind]bool
 
@@ -198,23 +195,6 @@ func (t *tenantState) allows(k phiwork.Kind) bool {
 	return t.allowed == nil || t.allowed[k]
 }
 
-// refill lazily credits the bucket for the time since the last touch.
-func (t *tenantState) refill(now time.Time) {
-	if t.last.IsZero() {
-		t.last = now
-		return
-	}
-	dt := now.Sub(t.last).Seconds()
-	if dt <= 0 {
-		return
-	}
-	t.last = now
-	t.tokens += dt * t.rate
-	if t.tokens > t.burst {
-		t.tokens = t.burst
-	}
-}
-
 // Controller is the admission front end. One controller guards one
 // backend; Submit is safe for concurrent use.
 type Controller struct {
@@ -223,9 +203,9 @@ type Controller struct {
 	tel     *telemetry.Telemetry
 
 	mu       sync.Mutex
+	door     Door
 	tenants  map[string]*tenantState
 	fallback *tenantState // undeclared tenants share this class
-	brownout bool
 	enters   int64
 
 	brownoutGauge *telemetry.Gauge
@@ -253,6 +233,7 @@ func New(backend Backend, cfg Config) *Controller {
 		cfg:     cfg,
 		backend: backend,
 		tel:     tel,
+		door:    Door{cfg: cfg},
 		tenants: make(map[string]*tenantState),
 		brownoutGauge: tel.Registry.Gauge("phiadmit_brownout",
 			"1 while the controller is in brownout (fair queuing enforced)"),
@@ -303,10 +284,6 @@ func (a *Controller) newTenant(id string, w, sumW float64, slo time.Duration, ki
 	if a.cfg.Capacity > 0 {
 		rate = a.cfg.Capacity * w / sumW
 	}
-	burst := rate * a.cfg.BurstWindow.Seconds()
-	if burst < 1 {
-		burst = 1
-	}
 	var allowed map[phiwork.Kind]bool
 	if len(kinds) > 0 {
 		allowed = make(map[phiwork.Kind]bool, len(kinds))
@@ -319,9 +296,7 @@ func (a *Controller) newTenant(id string, w, sumW float64, slo time.Duration, ki
 		id:      id,
 		weight:  w,
 		slo:     slo,
-		rate:    rate,
-		burst:   burst,
-		tokens:  burst, // start full: a cold system admits a burst cleanly
+		bucket:  a.door.Bucket(rate),
 		allowed: allowed,
 		mAdmitted: reg.Counter("phiadmit_admitted_total",
 			"requests admitted to the backend", "tenant", id),
@@ -401,58 +376,34 @@ func (a *Controller) SubmitWork(ctx context.Context, tenant string, w phiwork.Wo
 	}
 
 	a.mu.Lock()
-	// Hysteresis: enter at the high threshold, leave only below the low
-	// one. Between the two the current state holds, so the controller
-	// cannot flap when the estimate hovers at a threshold. The SLO burn
-	// rate is a second entry signal — sustained deadline misses show up in
-	// the journey stream before the point-in-time estimate looks scary —
-	// and exit additionally requires the burn to have cooled.
-	transition := ""
-	enter := est >= a.cfg.BrownoutEnter ||
-		(a.cfg.BurnEnter > 0 && burn >= a.cfg.BurnEnter)
-	exit := est <= a.cfg.BrownoutExit &&
-		(a.cfg.BurnEnter <= 0 || burn <= a.cfg.BurnExit)
-	if !a.brownout && enter {
-		a.brownout = true
+	d := a.door.Decide(now, est, burn, ts.slo, &ts.bucket)
+	switch d.Transition {
+	case "enter":
 		a.enters++
 		a.brownoutGauge.Set(1)
 		a.brownoutCount.Inc()
-		transition = "enter"
-	} else if a.brownout && exit {
-		a.brownout = false
+	case "exit":
 		a.brownoutGauge.Set(0)
-		transition = "exit"
 	}
-	// Overload shed: if the backlog alone eats the budget (less the error
-	// margin), the request cannot finish in time — reject now.
-	if float64(est) > float64(ts.slo)*(1-a.cfg.Margin) {
+	switch d.Verdict {
+	case ShedOverload:
 		ts.shedOverload++
 		a.mu.Unlock()
 		ts.mShedOverload.Inc()
 		journey.Finish(phitrace.OutcomeShedOverload, "est="+est.Round(time.Microsecond).String())
-		a.noteBrownout(transition, est, burn)
+		a.noteBrownout(d.Transition, est, burn)
 		return nil, ErrShedOverload
-	}
-	// Brownout fair queuing: while overloaded, each tenant spends tokens
-	// refilled at its weighted share of Capacity. Outside brownout the
-	// buckets refill but are not charged, so light load is never shaped.
-	charged := false
-	if a.brownout && ts.rate > 0 {
-		ts.refill(now)
-		if ts.tokens < 1 {
-			ts.shedTenant++
-			a.mu.Unlock()
-			ts.mShedTenant.Inc()
-			journey.Finish(phitrace.OutcomeShedTenant, "brownout fair queue")
-			a.noteBrownout(transition, est, burn)
-			return nil, ErrShedTenant
-		}
-		ts.tokens--
-		charged = true
+	case ShedTenant:
+		ts.shedTenant++
+		a.mu.Unlock()
+		ts.mShedTenant.Inc()
+		journey.Finish(phitrace.OutcomeShedTenant, "brownout fair queue")
+		a.noteBrownout(d.Transition, est, burn)
+		return nil, ErrShedTenant
 	}
 	deadline := now.Add(ts.slo)
 	a.mu.Unlock()
-	a.noteBrownout(transition, est, burn)
+	a.noteBrownout(d.Transition, est, burn)
 
 	ch, err := a.backend.SubmitWork(ctx, w, in, phiserve.SubmitOpts{
 		Tenant:   ts.id,
@@ -462,9 +413,9 @@ func (a *Controller) SubmitWork(ctx context.Context, tenant string, w phiwork.Wo
 	if err != nil {
 		// The backend refused (closed, canceled, its own shed): the
 		// request never entered, so the token it was charged comes back.
-		if charged {
+		if d.Charged {
 			a.mu.Lock()
-			ts.tokens++
+			ts.bucket.tokens++
 			a.mu.Unlock()
 		}
 		journey.Finish(phiserve.JourneyOutcome(err), err.Error())
@@ -547,7 +498,7 @@ type Stats struct {
 func (a *Controller) Stats() Stats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := Stats{Brownout: a.brownout, BrownoutEnters: a.enters}
+	st := Stats{Brownout: a.door.brownout, BrownoutEnters: a.enters}
 	add := func(t *tenantState) {
 		st.Tenants = append(st.Tenants, TenantStats{
 			ID: t.id, Weight: t.weight,

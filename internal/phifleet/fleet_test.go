@@ -184,6 +184,65 @@ func TestFaultRetryStealsResolveExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestPartialStealsCountDeadlineFiresOnce: deadline-fired partial batches
+// stolen whole from a busy card count as fires only where they are
+// enqueued, so no card reports more deadline fires than batches.
+func TestPartialStealsCountDeadlineFiresOnce(t *testing.T) {
+	keys, cs, want := keySet(t, 12)
+	f, err := New(Config{
+		Cards:    2,
+		Replicas: 1, // keep every key on its home card until stolen
+		Card:     phiserve.Config{Workers: 1, FillDeadline: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every key homed on card 0: its partial batches fire while its other
+	// keys' lanes are still pending, so the idle card 1 takes them whole.
+	var hot []int
+	for i, k := range keys {
+		if f.ring.order(phiwork.RSAPrivateFor(k))[0] == 0 {
+			hot = append(hot, i)
+		}
+	}
+	if len(hot) < 3 {
+		t.Fatalf("only %d of %d keys homed on card 0", len(hot), len(keys))
+	}
+	f.Start(context.Background())
+	const perKey = 5 // partial batches: each one fires on its deadline
+	var resps []<-chan phiserve.Result
+	var wants []bn.Nat
+	for r := 0; r < perKey; r++ {
+		for _, i := range hot {
+			ch, err := f.Submit(context.Background(), keys[i], cs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			resps = append(resps, ch)
+			wants = append(wants, want[i])
+		}
+	}
+	for i, ch := range resps {
+		if res := <-ch; res.Err != nil || !res.M.Equal(wants[i]) {
+			t.Fatalf("request %d: %+v", i, res)
+		}
+	}
+	f.Close()
+
+	st := f.Stats()
+	if st.Redispatched == 0 {
+		t.Fatal("no partial batch was stolen; the steal path was not exercised")
+	}
+	for c, cst := range st.Cards {
+		if cst.DeadlineFires > cst.Batches {
+			t.Fatalf("card %d: %d deadline fires > %d batches", c, cst.DeadlineFires, cst.Batches)
+		}
+	}
+	if st.Fleet.DeadlineFires > st.Fleet.Batches {
+		t.Fatalf("fleet: %d deadline fires > %d batches", st.Fleet.DeadlineFires, st.Fleet.Batches)
+	}
+}
+
 // TestBreakerFailoverRoutesAroundSickCard: with exactly one card's
 // breaker tripped (per-card fault override), submissions for its keys
 // fail over to the healthy sibling and still complete on the vector path.

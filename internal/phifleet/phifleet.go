@@ -105,7 +105,7 @@ func (c Config) withDefaults() Config {
 		c.Replicas = c.Cards
 	}
 	if c.VNodes < 1 {
-		c.VNodes = 16
+		c.VNodes = defaultVNodes
 	}
 	if c.MaxHops < 1 {
 		c.MaxHops = 3

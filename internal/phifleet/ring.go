@@ -46,6 +46,9 @@ type ringPoint struct {
 	card int
 }
 
+// defaultVNodes is Config.VNodes's default.
+const defaultVNodes = 16
+
 func newRing(cards, vnodes int) *ring {
 	r := &ring{cards: cards}
 	for c := 0; c < cards; c++ {
@@ -60,14 +63,32 @@ func newRing(cards, vnodes int) *ring {
 	return r
 }
 
+// search returns the index of the first point at or clockwise of ring
+// position h.
+func (r *ring) search(h uint64) int {
+	return sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h }) % len(r.points)
+}
+
+// KeyHomes returns the home card of each of keys keys on the ring a
+// cards-card fleet routes with (default VNodes). Key k hashes by its
+// index rather than by a modulus: any stable identity gives the ring's
+// placement statistics, which is what the virtual-time simulator needs.
+func KeyHomes(cards, keys int) []int {
+	r := newRing(cards, defaultVNodes)
+	homes := make([]int, keys)
+	for k := range homes {
+		homes[k] = r.points[r.search(splitmix64(uint64(k)+0x5bf03635))].card
+	}
+	return homes
+}
+
 // order returns every card index in this workload's hash-preference
 // order: the owner first, then the distinct successors clockwise.
 // order[1:] is the replication/failover chain. The hash covers the
 // workload's RouteBytes (kind + modulus), so two kinds over the same key
 // — decryption and signing, say — can land on different home cards.
 func (r *ring) order(w phiwork.Workload) []int {
-	h := hashBytes(w.RouteBytes())
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= h })
+	i := r.search(hashBytes(w.RouteBytes()))
 	out := make([]int, 0, r.cards)
 	seen := make([]bool, r.cards)
 	for k := 0; k < len(r.points) && len(out) < r.cards; k++ {

@@ -35,7 +35,7 @@ func (st breakerState) String() string {
 	}
 }
 
-// breaker trips the vector path off when too many recent kernel passes
+// Breaker trips the vector path off when too many recent kernel passes
 // were faulty. The unit of observation is one pass (one batch execution
 // attempt): pass outcomes enter a rolling window, and when at least
 // minSamples outcomes are present and the faulty fraction reaches
@@ -43,9 +43,11 @@ func (st breakerState) String() string {
 // batch to ask becomes the probe, and its outcome decides between closed
 // (window reset) and another open period.
 //
-// breaker is concurrency-safe; workers record outcomes from their own
-// goroutines. now is injectable so tests replay deterministic schedules.
-type breaker struct {
+// Breaker is concurrency-safe; workers record outcomes from their own
+// goroutines. Its clock is injectable, so tests and the virtual-time
+// simulator replay deterministic schedules through the same automaton the
+// server runs.
+type Breaker struct {
 	threshold  float64
 	minSamples int
 	cooldown   time.Duration
@@ -66,21 +68,28 @@ type breaker struct {
 	trips    int64
 }
 
-func newBreaker(window int, threshold float64, minSamples int, cooldown time.Duration) *breaker {
-	return &breaker{
-		threshold:  threshold,
-		minSamples: minSamples,
-		cooldown:   cooldown,
-		now:        time.Now,
-		window:     make([]bool, window),
+// NewBreaker builds the server's circuit breaker from the Breaker* fields
+// of r; zero fields take the Resilience defaults. now is the breaker's
+// clock (nil means time.Now).
+func NewBreaker(r Resilience, now func() time.Time) *Breaker {
+	r = r.WithDefaults()
+	if now == nil {
+		now = time.Now
+	}
+	return &Breaker{
+		threshold:  r.BreakerThreshold,
+		minSamples: r.BreakerMinSamples,
+		cooldown:   r.BreakerCooldown,
+		now:        now,
+		window:     make([]bool, r.BreakerWindow),
 	}
 }
 
-// allowVector is asked by a worker about to execute a non-fallback batch:
+// AllowVector is asked by a worker about to execute a non-fallback batch:
 // it reports whether the vector path may be used, and whether this batch
 // is the half-open probe. Called at execution (not admission) time, so the
 // verdict reflects the breaker's state after any queueing delay.
-func (b *breaker) allowVector() (ok, probe bool) {
+func (b *Breaker) AllowVector() (ok, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -102,20 +111,20 @@ func (b *breaker) allowVector() (ok, probe bool) {
 	}
 }
 
-// healthy reports whether the vector path is currently trusted (closed
+// Healthy reports whether the vector path is currently trusted (closed
 // state). Retry loops consult it to stop hammering a sick device
 // mid-batch.
-func (b *breaker) healthy() bool {
+func (b *Breaker) Healthy() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state == breakerClosed
 }
 
-// degraded reports whether new submissions should bypass batching and go
+// Degraded reports whether new submissions should bypass batching and go
 // straight to the scalar fallback: the breaker is open inside its
 // cooldown, or half-open with the probe already in flight. (Open past the
 // cooldown admits batching — the next executed batch becomes the probe.)
-func (b *breaker) degraded() bool {
+func (b *Breaker) Degraded() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -128,9 +137,9 @@ func (b *breaker) degraded() bool {
 	}
 }
 
-// record feeds one pass outcome back. probe must be the flag allowVector
+// record feeds one pass outcome back. probe must be the flag AllowVector
 // returned for this pass.
-func (b *breaker) record(faulty, probe bool) {
+func (b *Breaker) Record(faulty, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if probe {
@@ -166,7 +175,7 @@ func (b *breaker) record(faulty, probe bool) {
 
 // transitionLocked changes state and fires the observer hook. Callers hold
 // b.mu.
-func (b *breaker) transitionLocked(to breakerState) {
+func (b *Breaker) transitionLocked(to breakerState) {
 	from := b.state
 	b.state = to
 	if from != to && b.onTransition != nil {
@@ -174,7 +183,7 @@ func (b *breaker) transitionLocked(to breakerState) {
 	}
 }
 
-func (b *breaker) pushLocked(faulty bool) {
+func (b *Breaker) pushLocked(faulty bool) {
 	if b.n == len(b.window) {
 		if b.window[b.idx] {
 			b.faults--
@@ -189,15 +198,22 @@ func (b *breaker) pushLocked(faulty bool) {
 	b.idx = (b.idx + 1) % len(b.window)
 }
 
-func (b *breaker) resetWindowLocked() {
+func (b *Breaker) resetWindowLocked() {
 	for i := range b.window {
 		b.window[i] = false
 	}
 	b.idx, b.n, b.faults = 0, 0, 0
 }
 
+// Trips returns the lifetime count of closed->open transitions (failed
+// probes included).
+func (b *Breaker) Trips() int64 {
+	_, trips := b.snapshot()
+	return trips
+}
+
 // snapshot returns the current state and lifetime trip count.
-func (b *breaker) snapshot() (breakerState, int64) {
+func (b *Breaker) snapshot() (breakerState, int64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state, b.trips

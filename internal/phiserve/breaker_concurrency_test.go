@@ -15,8 +15,8 @@ import (
 // probe; everyone else is turned away until the probe's outcome lands.
 func TestBreakerSingleProbeUnderConcurrency(t *testing.T) {
 	b, clk := testBreaker(8, 0.5, 2, time.Second)
-	b.record(true, false)
-	b.record(true, false) // trips
+	b.Record(true, false)
+	b.Record(true, false) // trips
 	clk.advance(time.Second)
 
 	const callers = 64
@@ -28,7 +28,7 @@ func TestBreakerSingleProbeUnderConcurrency(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait()
-			ok, probe := b.allowVector()
+			ok, probe := b.AllowVector()
 			if ok {
 				oks.Add(1)
 			}
@@ -47,11 +47,11 @@ func TestBreakerSingleProbeUnderConcurrency(t *testing.T) {
 			oks.Load(), probes.Load())
 	}
 	// The probe's clean outcome closes the breaker for everyone.
-	b.record(false, true)
-	if !b.healthy() {
+	b.Record(false, true)
+	if !b.Healthy() {
 		t.Fatal("clean probe did not close the breaker")
 	}
-	if ok, probe := b.allowVector(); !ok || probe {
+	if ok, probe := b.AllowVector(); !ok || probe {
 		t.Fatalf("closed breaker after recovery: ok=%v probe=%v", ok, probe)
 	}
 }

@@ -193,7 +193,7 @@ func (c Config) withDefaults() Config {
 			c.Backend = vpu.BackendDirect
 		}
 	}
-	c.Resilience = c.Resilience.withDefaults()
+	c.Resilience = c.Resilience.WithDefaults()
 	return c
 }
 
@@ -218,7 +218,7 @@ type Result struct {
 	BatchCycles float64
 	// SimLatency is this request's service latency in seconds on the
 	// simulated machine: one kernel pass at the server's worker count
-	// (queueing delay is host-side and reported by the A6 load model).
+	// (queueing delay is host-side and reported by the A6 simulator).
 	SimLatency float64
 	// Fallback reports that the request was served by the workload's
 	// scalar path: the breaker was open, or retries were exhausted.
@@ -322,7 +322,7 @@ type Server struct {
 	schedDone chan struct{}
 
 	// breaker gates the vector path on the rolling fault rate.
-	breaker *breaker
+	breaker *Breaker
 	// release is closed by Close before the pool drains: workers parked on
 	// an injected stall wake up and serve their leftovers via the scalar
 	// path so the drain can finish.
@@ -383,12 +383,11 @@ func New(cfg Config) (*Server, error) {
 		intakeLight: make(chan *request, BatchSize),
 		flush:       make(chan flushMsg, 1),
 		schedDone:   make(chan struct{}),
-		breaker: newBreaker(r.BreakerWindow, r.BreakerThreshold,
-			r.BreakerMinSamples, r.BreakerCooldown),
-		release: make(chan struct{}),
-		tel:     tel,
-		tracer:  tel.Tracer,
-		stats:   newStatsAcc(tel.Registry, cfg.Labels),
+		breaker:     NewBreaker(r, nil),
+		release:     make(chan struct{}),
+		tel:         tel,
+		tracer:      tel.Tracer,
+		stats:       newStatsAcc(tel.Registry, cfg.Labels),
 	}
 	s.breaker.onTransition = s.breakerTransition
 	s.tel.Registry.CounterFunc("phiserve_breaker_trips_total",
@@ -1082,6 +1081,9 @@ func (s *Server) schedule() {
 				return
 			}
 		}
+		if byDeadline {
+			s.stats.deadlineFires.Add(1)
+		}
 		enqueue(&batch{work: w, reqs: reqs})
 	}
 	failAll := func() {
@@ -1104,7 +1106,7 @@ func (s *Server) schedule() {
 		s.stats.overflowDepth.Set(0)
 	}
 	handle := func(req *request) {
-		if s.breaker.degraded() {
+		if s.breaker.Degraded() {
 			// Breaker open: don't buffer toward a vector batch that will
 			// not run. A healthy sibling card may take the request;
 			// otherwise dispatch straight to the scalar fallback, one
@@ -1171,7 +1173,6 @@ func (s *Server) schedule() {
 			drainOverflow()
 		case msg := <-s.flush:
 			if p, ok := open[msg.work]; ok && p.gen == msg.gen {
-				s.stats.deadlineFires.Add(1)
 				dispatch(msg.work, true)
 			}
 		case req, ok := <-intake:

@@ -69,7 +69,9 @@ type Resilience struct {
 	Faults *faultsim.Config
 }
 
-func (r Resilience) withDefaults() Resilience {
+// WithDefaults returns r with every zero field set to its default — the
+// values a Server runs with.
+func (r Resilience) WithDefaults() Resilience {
 	if r.MaxRetries == 0 {
 		r.MaxRetries = 2
 	}
@@ -180,7 +182,7 @@ func (s *Server) runBatch(w *worker, b *batch) {
 		s.runScalarOn(w.scalarEngine(), b.reqs, b.attempts, w.tid())
 		return
 	}
-	allow, probe := s.breaker.allowVector()
+	allow, probe := s.breaker.AllowVector()
 	if !allow {
 		s.runScalarOn(w.scalarEngine(), b.reqs, b.attempts, w.tid())
 		return
@@ -206,7 +208,7 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			s.stats.stalledPasses.Inc()
 			s.tracer.Instant(w.tid(), "stall",
 				telemetry.Args{"lanes": len(pending), "attempt": attempt})
-			s.breaker.record(true, probe)
+			s.breaker.Record(true, probe)
 			if s.awaitStallRelease() {
 				// Graceful drain: the vector unit is gone but the scalar
 				// path still works; no request is left behind.
@@ -226,7 +228,7 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			s.stats.kernelFaults.Inc()
 			s.tracer.Instant(w.tid(), "kernel-fault",
 				telemetry.Args{"lanes": len(pending), "attempt": attempt})
-			s.breaker.record(true, probe)
+			s.breaker.Record(true, probe)
 			faulted = pending
 		} else {
 			w.backend.Reset()
@@ -240,11 +242,25 @@ func (s *Server) runBatch(w *worker, b *batch) {
 				for _, q := range pending {
 					s.finish(q, Result{Err: err})
 				}
-				s.breaker.record(true, probe)
+				s.breaker.Record(true, probe)
 				return
 			}
+			passWall := time.Since(passStart)
 			fill := len(pending)
 			cycles := knc.KNCVectorCosts.VectorCycles(bd.Counts)
+			// The pass event goes in before any lane resolves: a resolved
+			// journey drops later events.
+			if note := journeyNote(pending, func() string {
+				n := fmt.Sprintf("worker=%d fill=%d cycles=%.0f", w.id, fill, cycles)
+				for _, seg := range bd.Segments {
+					n += " " + seg.Name + "=" + seg.Wall.Round(time.Microsecond).String()
+				}
+				return n
+			}); note != "" {
+				for _, q := range pending {
+					q.journey.EventDur("pass", s.cfg.Card, note, passWall)
+				}
+			}
 			phases := knc.KNCVectorCosts.PhaseBreakdown(bd.Phases)
 			w.meter.ChargeVectorPhases(bd.Phases)
 			simLat := s.cfg.Machine.Latency(s.cfg.Workers, cycles)
@@ -276,25 +292,13 @@ func (s *Server) runBatch(w *worker, b *batch) {
 					served++
 				}
 			}
-			passWall := time.Since(passStart)
-			if note := journeyNote(pending, func() string {
-				n := fmt.Sprintf("worker=%d fill=%d cycles=%.0f", w.id, fill, cycles)
-				for _, seg := range bd.Segments {
-					n += " " + seg.Name + "=" + seg.Wall.Round(time.Microsecond).String()
-				}
-				return n
-			}); note != "" {
-				for _, q := range pending {
-					q.journey.EventDur("pass", s.cfg.Card, note, passWall)
-				}
-			}
 			if b.work.Class() == phiwork.ClassHeavy {
 				s.observePass(passWall)
 			}
 			s.stats.recordBatch(b.work.Kind(), fill, served, cycles, simLat, phases)
 			s.stats.faultsDetected.Add(int64(transient))
 			s.tracePass(w, b, passStart, bd, fill, attempt, cycles, phases, transient)
-			s.breaker.record(transient > 0, probe)
+			s.breaker.Record(transient > 0, probe)
 		}
 		probe = false // only this batch's first pass can be the probe
 		if len(faulted) == 0 {
@@ -311,7 +315,7 @@ func (s *Server) runBatch(w *worker, b *batch) {
 			return
 		}
 		attempt++
-		if attempt > s.cfg.Resilience.MaxRetries || !s.breaker.healthy() {
+		if attempt > s.cfg.Resilience.MaxRetries || !s.breaker.Healthy() {
 			s.runScalarOn(w.scalarEngine(), faulted, attempt, w.tid())
 			return
 		}
@@ -496,7 +500,7 @@ func (s *Server) retryTimedOut(b *batch) {
 	}
 	s.tracer.Instant(s.ctl(), "batch-timeout",
 		telemetry.Args{"lanes": len(nb.reqs), "attempt": nb.attempts})
-	if !nb.fallback && nb.attempts <= s.cfg.Resilience.MaxRetries && s.breaker.healthy() {
+	if !nb.fallback && nb.attempts <= s.cfg.Resilience.MaxRetries && s.breaker.Healthy() {
 		budget := s.cfg.Resilience.Budget
 		if budget.Allow(len(nb.reqs)) {
 			if s.pool.TrySubmit(nb) {

@@ -183,4 +183,4 @@ func (s *Server) Load() int {
 // Degraded reports whether the circuit breaker currently bypasses the
 // vector path (open, or half-open with the probe already out). Routers
 // use it to route around a sick card.
-func (s *Server) Degraded() bool { return s.breaker.degraded() }
+func (s *Server) Degraded() bool { return s.breaker.Degraded() }

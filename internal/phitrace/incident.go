@@ -50,10 +50,14 @@ func (r *Recorder) Trigger(kind string, fields map[string]any) {
 	if r == nil {
 		return
 	}
-	r.triggerAt(r.now(), kind, fields)
+	r.TriggerAt(r.now(), kind, fields)
 }
 
-func (r *Recorder) triggerAt(at time.Time, kind string, fields map[string]any) {
+// TriggerAt is Trigger at an explicit (virtual) time. Safe on nil.
+func (r *Recorder) TriggerAt(at time.Time, kind string, fields map[string]any) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	if last, ok := r.lastTrigger[kind]; ok && at.Sub(last) < r.cfg.IncidentCooldown {
 		r.mu.Unlock()

@@ -163,7 +163,7 @@ func (j *Journey) EventDur(kind string, card int, note string, dur time.Duration
 }
 
 // EventAt appends a step at an explicit (virtual) time; the deterministic
-// experiment models use it instead of the wall clock. Safe on nil.
+// experiment simulator uses it instead of the wall clock. Safe on nil.
 func (j *Journey) EventAt(at time.Time, kind string, card int, note string) {
 	j.EventDurAt(at, kind, card, note, 0)
 }

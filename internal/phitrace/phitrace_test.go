@@ -3,11 +3,8 @@ package phitrace
 import (
 	"bytes"
 	"encoding/json"
-	mrand "math/rand"
 	"testing"
 	"time"
-
-	"phiopenssl/internal/knc"
 )
 
 var testBase = time.Unix(0, 0).UTC()
@@ -247,118 +244,5 @@ func TestWriteJourneysShape(t *testing.T) {
 		if jv.Events[i].TUS < jv.Events[i-1].TUS {
 			t.Fatalf("event times not monotone: %+v", jv.Events)
 		}
-	}
-}
-
-// a10Model is the experiment configuration bench's A10 also uses: the A9
-// machine shape spread over two cards.
-func a10Model() Model {
-	m := Model{
-		Machine:       knc.Default(),
-		Cards:         2,
-		Workers:       8,
-		Keys:          4,
-		FillDeadline:  4 * time.Millisecond,
-		SLO:           40 * time.Millisecond,
-		Margin:        0.25,
-		BrownoutEnter: 28 * time.Millisecond,
-		BrownoutExit:  21 * time.Millisecond,
-		Tenants: []ModelTenant{
-			{ID: "gold", Share: 0.5, Weight: 10},
-			{ID: "silver", Share: 0.3, Weight: 3},
-			{ID: "bronze", Share: 0.2, Weight: 1},
-		},
-	}
-	for f := 1; f <= modelBatch; f++ {
-		m.CostPerFill[f] = 9.5e6
-	}
-	return m
-}
-
-// TestModelShedStormIncident pins the A10 acceptance criteria: a 4x
-// overload produces a shed-storm incident naming the dominant shedding
-// tenant and a real card, every arrival resolves exactly one journey,
-// tail sampling keeps all anomalous journeys, and the burn gauges read
-// far above budget.
-func TestModelShedStormIncident(t *testing.T) {
-	m := a10Model()
-	const n = 30000
-	pt, rec, err := m.Simulate(mrand.New(mrand.NewSource(7)), n, 4*m.Capacity(),
-		Config{RingSize: 512, SampleN: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := int(pt.Counts.Resolved); got != n {
-		t.Fatalf("resolved %d journeys for %d arrivals", got, n)
-	}
-	if pt.Counts.TerminalDups != 0 {
-		t.Fatalf("%d duplicate terminals", pt.Counts.TerminalDups)
-	}
-	if pt.Admitted+pt.ShedOverload+pt.ShedTenant != n {
-		t.Fatalf("door accounting: %d+%d+%d != %d", pt.Admitted, pt.ShedOverload, pt.ShedTenant, n)
-	}
-	if pt.ShedOverload+pt.ShedTenant == 0 {
-		t.Fatal("4x overload shed nothing; the storm cannot form")
-	}
-	var storm *IncidentBrief
-	for i := range pt.Incidents {
-		if pt.Incidents[i].Kind == "shed-storm" {
-			storm = &pt.Incidents[i]
-			break
-		}
-	}
-	if storm == nil {
-		t.Fatalf("no shed-storm incident in %+v", pt.Incidents)
-	}
-	if storm.Tenant == "" || storm.Card < 0 || storm.Card >= m.Cards {
-		t.Fatalf("storm incident must name tenant and card: %+v", *storm)
-	}
-	if pt.BurnAll <= 1 {
-		t.Fatalf("aggregate burn %.2f at 4x overload, want > 1", pt.BurnAll)
-	}
-	c := pt.Counts
-	anomalous := int64(0)
-	for _, j := range rec.Kept(0) {
-		if j.Anomaly() != "" {
-			anomalous++
-		}
-	}
-	if c.KeptAnomalous+c.KeptSampled+c.Discarded != c.Resolved {
-		t.Fatalf("sampling accounting does not balance: %+v", c)
-	}
-	// 1-in-16 of normal completions: the discarded share must dominate
-	// the sampled share.
-	if c.KeptSampled*8 > c.Discarded {
-		t.Fatalf("sampling kept too much: %+v", c)
-	}
-	// The model's incident buffer also saw the brownout transition.
-	seen := map[string]bool{}
-	for _, b := range pt.Incidents {
-		seen[b.Kind] = true
-	}
-	if !seen["brownout-enter"] {
-		t.Fatalf("no brownout-enter incident: %+v", pt.Incidents)
-	}
-}
-
-// TestModelLightLoadQuiet: at half capacity nothing sheds, no incidents
-// fire, and sampling discards most journeys.
-func TestModelLightLoadQuiet(t *testing.T) {
-	m := a10Model()
-	pt, _, err := m.Simulate(mrand.New(mrand.NewSource(7)), 10000, 0.5*m.Capacity(),
-		Config{SampleN: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.ShedOverload != 0 || pt.ShedTenant != 0 {
-		t.Fatalf("light load shed traffic: %+v", pt)
-	}
-	for _, b := range pt.Incidents {
-		if b.Kind == "shed-storm" {
-			t.Fatalf("light load shed-storm incident: %+v", pt.Incidents)
-		}
-	}
-	if pt.Good != pt.Completed {
-		t.Fatalf("light load: %d of %d completions good", pt.Good, pt.Completed)
 	}
 }

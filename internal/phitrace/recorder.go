@@ -44,8 +44,8 @@ type Config struct {
 	// many sheds land within the fast burn window (default 64; negative
 	// disables).
 	StormThreshold int
-	// Clock supplies time (default time.Now); the virtual-time models
-	// replace it.
+	// Clock supplies time (default time.Now); the virtual-time simulator
+	// replaces it.
 	Clock func() time.Time
 	// Telemetry, when set, receives phitrace_* counters and the lazily
 	// registered phitrace_slo_burn{tenant,window} gauges. Use one
@@ -115,7 +115,7 @@ func newBurnWindow(width time.Duration) *burnWindow {
 }
 
 // advance rotates the window forward to at. Time moving backwards (a
-// completion stamped before the latest arrival in a virtual-time model)
+// completion stamped before the latest arrival in the virtual-time simulator)
 // lands in the current head bucket, which is close enough for a gauge.
 func (w *burnWindow) advance(at time.Time) {
 	if w.headStart.IsZero() {
@@ -346,7 +346,7 @@ func (r *Recorder) resolve(j *Journey, at time.Time, anomaly string) {
 		r.ensureBurnGauges(tenant)
 	}
 	if stormFields != nil {
-		r.triggerAt(at, "shed-storm", stormFields)
+		r.TriggerAt(at, "shed-storm", stormFields)
 	}
 	if fn := r.cfg.OnResolve; fn != nil {
 		fn(j)
