@@ -35,7 +35,7 @@ type AdmissionTenant = phiadmit.Tenant
 type AdmissionStats = phiadmit.Stats
 
 // SubmitOpts carries admission metadata (tenant id, SLO deadline) into
-// BatchServer.SubmitWith and Fleet.SubmitWith.
+// BatchServer.SubmitWork and Fleet.SubmitWork.
 type SubmitOpts = phiserve.SubmitOpts
 
 // RetryBudget is the server-wide token bucket bounding how much extra

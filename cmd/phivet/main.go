@@ -1,4 +1,4 @@
-// Command phivet is the repo's static-analysis gate: five analyzers that
+// Command phivet is the repo's static-analysis gate: six analyzers that
 // machine-check the serving stack's concurrency and invariant discipline
 // (see internal/phivet/analyzers and the "Static analysis & invariants"
 // section of DESIGN.md).

@@ -120,15 +120,11 @@ func main() {
 		Journeys:     rec,
 	}
 	// One card serves through a BatchServer directly; more go through the
-	// sharded fleet front end. Both expose the same Submit/Close shape.
-	type service interface {
-		Submit(ctx context.Context, key *phiopenssl.PrivateKey, c phiopenssl.Nat) (<-chan phiopenssl.BatchResult, error)
-		Close()
-	}
+	// sharded fleet front end. Both expose the same SubmitWork shape.
 	var (
 		srv *phiopenssl.BatchServer
 		flt *phiopenssl.Fleet
-		svc service
+		svc phiopenssl.AdmissionBackend
 	)
 	if *cards > 1 {
 		var err error
@@ -175,11 +171,7 @@ func main() {
 			}
 			tenants = append(tenants, phiopenssl.AdmissionTenant{ID: id, Weight: w})
 		}
-		var backend phiopenssl.AdmissionBackend = srv
-		if flt != nil {
-			backend = flt
-		}
-		door = phiopenssl.NewAdmissionController(backend, phiopenssl.AdmissionConfig{
+		door = phiopenssl.NewAdmissionController(svc, phiopenssl.AdmissionConfig{
 			SLO:       *slo,
 			Tenants:   tenants,
 			Telemetry: tel,
@@ -201,18 +193,19 @@ func main() {
 	nextTenant := 0
 	submit := func(key *phiopenssl.PrivateKey) {
 		m, c := encrypt(key, eng)
+		w, in := phiopenssl.RSAPrivateWorkload(key), phiopenssl.WorkloadInput{A: c}
 		var resp <-chan phiopenssl.BatchResult
 		var err error
 		if door != nil {
 			tn := tenants[nextTenant%len(tenants)].ID
 			nextTenant++
-			resp, err = door.Submit(context.Background(), tn, key, c)
+			resp, err = door.SubmitWork(context.Background(), tn, w, in)
 			if errors.Is(err, phiopenssl.ErrShedOverload) || errors.Is(err, phiopenssl.ErrShedTenant) {
 				shed++
 				return
 			}
 		} else {
-			resp, err = svc.Submit(context.Background(), key, c)
+			resp, err = svc.SubmitWork(context.Background(), w, in, phiopenssl.SubmitOpts{})
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -254,7 +247,11 @@ func main() {
 		}(r)
 	}
 	wg.Wait()
-	svc.Close()
+	if flt != nil {
+		flt.Close()
+	} else {
+		srv.Close()
+	}
 	if bad > 0 {
 		log.Fatalf("%d requests came back wrong", bad)
 	}

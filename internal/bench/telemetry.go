@@ -10,6 +10,7 @@ import (
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/telemetry"
 )
 
@@ -75,10 +76,11 @@ func TelemetryOverhead(ops, trials int, seed int64) (TelemetryOverheadResult, er
 			return 0, err
 		}
 		srv.Start(context.Background())
+		w := phiwork.RSAPrivateFor(key)
 		start := time.Now()
 		var wg sync.WaitGroup
 		for _, c := range cs {
-			resp, err := srv.Submit(context.Background(), key, c)
+			resp, err := srv.SubmitWork(context.Background(), w, phiwork.Input{A: c}, phiserve.SubmitOpts{})
 			if err != nil {
 				srv.Close()
 				return 0, err

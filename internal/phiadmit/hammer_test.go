@@ -15,6 +15,7 @@ import (
 	"phiopenssl/internal/faultsim"
 	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 )
 
@@ -107,7 +108,7 @@ func TestOverloadHammer(t *testing.T) {
 				default:
 				}
 				k := (g*31 + i) % nk
-				ch, err := ctrl.Submit(context.Background(), tn, keys[k], cs[k])
+				ch, err := ctrl.SubmitWork(context.Background(), tn, phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]})
 				if err != nil {
 					switch {
 					case errors.Is(err, ErrShedOverload), errors.Is(err, ErrShedTenant):

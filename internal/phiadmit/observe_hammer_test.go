@@ -16,6 +16,7 @@ import (
 	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 )
 
@@ -116,7 +117,7 @@ func TestObserveHammer(t *testing.T) {
 	for i := 0; i < 192; i++ {
 		k := i % nk
 		submits.Add(1)
-		res, err := ctrl.Do(context.Background(), tenants[i%len(tenants)], keys[k], cs[k])
+		res, err := ctrl.DoWork(context.Background(), tenants[i%len(tenants)], phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]})
 		if err != nil {
 			t.Fatalf("warmup submit %d: %v", i, err)
 		}
@@ -145,7 +146,7 @@ func TestObserveHammer(t *testing.T) {
 				}
 				k := (g*31 + i) % nk
 				submits.Add(1)
-				ch, err := ctrl.Submit(context.Background(), tn, keys[k], cs[k])
+				ch, err := ctrl.SubmitWork(context.Background(), tn, phiwork.RSAPrivateFor(keys[k]), phiwork.Input{A: cs[k]})
 				if err != nil {
 					switch {
 					case errors.Is(err, ErrShedOverload), errors.Is(err, ErrShedTenant):

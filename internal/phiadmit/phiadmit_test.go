@@ -10,7 +10,9 @@ import (
 
 	"phiopenssl/internal/bn"
 	"phiopenssl/internal/engine"
+	"phiopenssl/internal/phifleet"
 	"phiopenssl/internal/phiserve"
+	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/vpu"
@@ -260,7 +262,7 @@ func TestControllerOverRealServer(t *testing.T) {
 	s.Start(context.Background())
 	defer s.Close()
 	a := New(s, Config{SLO: 5 * time.Second})
-	res, err := a.Do(context.Background(), "acct", key, bn.One())
+	res, err := a.DoWork(context.Background(), "acct", phiwork.RSAPrivateFor(key), phiwork.Input{A: bn.One()})
 	if err != nil || res.Err != nil {
 		t.Fatalf("admit+serve: %v / %v", err, res.Err)
 	}
@@ -269,5 +271,77 @@ func TestControllerOverRealServer(t *testing.T) {
 	}
 	if st := s.Stats(); st.Completed != 1 {
 		t.Fatalf("server stats: %+v", st)
+	}
+}
+
+// TestSubmitRejectsBadInputAtEveryLayer: a nil-key workload of each RSA
+// kind and an out-of-range operand come back as an error — never a panic —
+// from the server, the fleet and the admission door alike, before any of
+// them routes, begins a journey, charges a token or counts a shed. The
+// door fronts a backend whose estimate would shed anything it judged.
+func TestSubmitRejectsBadInputAtEveryLayer(t *testing.T) {
+	key := mustKey(t, 7)
+	rec := phitrace.New(phitrace.Config{})
+	srv, err := phiserve.New(phiserve.Config{Workers: 1, Journeys: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start(context.Background())
+	defer srv.Close()
+	flt, err := phifleet.New(phifleet.Config{
+		Cards: 2, Card: phiserve.Config{Workers: 1}, Journeys: rec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flt.Start(context.Background())
+	defer flt.Close()
+	door := New(&fakeBackend{est: time.Hour}, Config{Journeys: rec})
+
+	one := phiwork.Input{A: bn.One()}
+	bad := []struct {
+		name string
+		w    phiwork.Workload
+		in   phiwork.Input
+	}{
+		{"rsa-priv nil key", phiwork.NewRSAPrivate(nil), one},
+		{"pss-sign nil key", phiwork.NewPSSSign(nil), one},
+		{"public nil key", phiwork.NewRSAPublic(nil), one},
+		{"out of range", phiwork.RSAPrivateFor(key), phiwork.Input{A: key.N}},
+	}
+	ctx := context.Background()
+	layers := []struct {
+		name   string
+		submit func(phiwork.Workload, phiwork.Input) (<-chan phiserve.Result, error)
+	}{
+		{"server", func(w phiwork.Workload, in phiwork.Input) (<-chan phiserve.Result, error) {
+			return srv.SubmitWork(ctx, w, in, phiserve.SubmitOpts{})
+		}},
+		{"fleet", func(w phiwork.Workload, in phiwork.Input) (<-chan phiserve.Result, error) {
+			return flt.SubmitWork(ctx, w, in, phiserve.SubmitOpts{})
+		}},
+		{"door", func(w phiwork.Workload, in phiwork.Input) (<-chan phiserve.Result, error) {
+			return door.SubmitWork(ctx, "acct", w, in)
+		}},
+	}
+	for _, l := range layers {
+		for _, b := range bad {
+			_, err := l.submit(b.w, b.in)
+			if err == nil || errors.Is(err, ErrShedOverload) || errors.Is(err, ErrShedTenant) {
+				t.Errorf("%s, %s: err = %v, want a validation error", l.name, b.name, err)
+			}
+		}
+	}
+	if st := srv.Stats(); st.Submitted != 0 {
+		t.Errorf("server accepted bad input: %+v", st)
+	}
+	if st := flt.Stats(); st.Fleet.Submitted != 0 || st.Failovers != 0 {
+		t.Errorf("fleet routed bad input: %+v", st.Fleet)
+	}
+	if st := door.Stats(); st.Shed != 0 || st.Admitted != 0 {
+		t.Errorf("door judged bad input: shed %d admitted %d", st.Shed, st.Admitted)
+	}
+	if c := rec.Counts(); c.Resolved != 0 {
+		t.Errorf("bad input began %d journeys", c.Resolved)
 	}
 }

@@ -26,6 +26,11 @@ func mustKey(bits int, seed int64) *rsakit.PrivateKey {
 	return k
 }
 
+// submitRSA submits one c^D mod N on key's canonical rsa-priv workload.
+func submitRSA(ctx context.Context, f *Fleet, key *rsakit.PrivateKey, c bn.Nat) (<-chan phiserve.Result, error) {
+	return f.SubmitWork(ctx, phiwork.RSAPrivateFor(key), phiwork.Input{A: c}, phiserve.SubmitOpts{})
+}
+
 // keySet generates n distinct keys with scalar reference answers for one
 // ciphertext each.
 func keySet(t *testing.T, n int) (keys []*rsakit.PrivateKey, cs, want []bn.Nat) {
@@ -66,7 +71,7 @@ func TestFleetRoutesAndServes(t *testing.T) {
 	const n = 256
 	resps := make([]<-chan phiserve.Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := f.Submit(context.Background(), keys[i%len(keys)], cs[i%len(keys)])
+		ch, err := submitRSA(context.Background(), f, keys[i%len(keys)], cs[i%len(keys)])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -147,7 +152,7 @@ func TestFaultRetryStealsResolveExactlyOnce(t *testing.T) {
 	const n = 256
 	resps := make([]<-chan phiserve.Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := f.Submit(context.Background(), keys[i%len(keys)], cs[i%len(keys)])
+		ch, err := submitRSA(context.Background(), f, keys[i%len(keys)], cs[i%len(keys)])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -214,7 +219,7 @@ func TestPartialStealsCountDeadlineFiresOnce(t *testing.T) {
 	var wants []bn.Nat
 	for r := 0; r < perKey; r++ {
 		for _, i := range hot {
-			ch, err := f.Submit(context.Background(), keys[i], cs[i])
+			ch, err := submitRSA(context.Background(), f, keys[i], cs[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +297,7 @@ func TestBreakerFailoverRoutesAroundSickCard(t *testing.T) {
 	f.Start(context.Background())
 	const n = 160
 	for i := 0; i < n; i++ {
-		res, err := f.Do(context.Background(), key, c)
+		res, err := f.DoWork(context.Background(), phiwork.RSAPrivateFor(key), phiwork.Input{A: c})
 		if err != nil {
 			t.Fatalf("do %d: %v", i, err)
 		}
@@ -365,7 +370,7 @@ func TestConcurrentSubmitCloseFailover(t *testing.T) {
 				default:
 				}
 				k := (g + i) % len(keys)
-				ch, err := f.Submit(context.Background(), keys[k], cs[k])
+				ch, err := submitRSA(context.Background(), f, keys[k], cs[k])
 				if err != nil {
 					if errors.Is(err, phiserve.ErrClosed) {
 						return
@@ -408,12 +413,12 @@ func TestSubmitLifecycleErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Submit(context.Background(), keys[0], cs[0]); !errors.Is(err, phiserve.ErrNotStarted) {
+	if _, err := submitRSA(context.Background(), f, keys[0], cs[0]); !errors.Is(err, phiserve.ErrNotStarted) {
 		t.Fatalf("submit before start: %v", err)
 	}
 	f.Start(context.Background())
 	f.Close()
-	if _, err := f.Submit(context.Background(), keys[0], cs[0]); !errors.Is(err, phiserve.ErrClosed) {
+	if _, err := submitRSA(context.Background(), f, keys[0], cs[0]); !errors.Is(err, phiserve.ErrClosed) {
 		t.Fatalf("submit after close: %v", err)
 	}
 	f.Close() // idempotent
@@ -436,7 +441,7 @@ func TestHotKeySpreadsOverReplicas(t *testing.T) {
 	const n = 24 * phiserve.BatchSize // a burst far beyond one batch per deadline
 	resps := make([]<-chan phiserve.Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := f.Submit(context.Background(), keys[0], cs[0])
+		ch, err := submitRSA(context.Background(), f, keys[0], cs[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -68,7 +68,7 @@ func TestFleetHammer(t *testing.T) {
 				default:
 				}
 				k := (g*31 + i) % len(keys)
-				ch, err := f.Submit(context.Background(), keys[k], cs[k])
+				ch, err := submitRSA(context.Background(), f, keys[k], cs[k])
 				if err != nil {
 					if errors.Is(err, phiserve.ErrClosed) {
 						return

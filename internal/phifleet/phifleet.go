@@ -2,8 +2,8 @@
 // coprocessor cards. The PhiOpenSSL paper's deployment premise is a host
 // driving multiple Xeon Phi cards; phifleet is that tier: N independent
 // phiserve.Servers — each with its own worker pool, circuit breaker,
-// resilience policy and fault schedule — behind one Submit-compatible
-// front end.
+// resilience policy and fault schedule — behind one front end whose
+// SubmitWork/DoWork mirror the card's.
 //
 // Routing is consistent hashing of the key over a vnode ring, so a key's
 // open batch accumulates on one card and fills. Three mechanisms keep the
@@ -17,8 +17,8 @@
 //     fault-retried lanes to the least-loaded healthy sibling through the
 //     phiserve redispatch hook, so no card runs a 3-lane pass while
 //     another has work queued 13 deep.
-//   - Breaker failover: while a card's breaker is open, Submit routes its
-//     keys to the next healthy card in hash order, and the sick card's
+//   - Breaker failover: while a card's breaker is open, SubmitWork routes
+//     its keys to the next healthy card in hash order, and the sick card's
 //     own scheduler offers breaker-bypassed requests to siblings; only
 //     with every card degraded does traffic fall to the scalar path.
 //
@@ -35,12 +35,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"phiopenssl/internal/bn"
 	"phiopenssl/internal/faultsim"
 	"phiopenssl/internal/phiserve"
 	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
-	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/telemetry"
 )
 
@@ -113,8 +111,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Fleet is the multi-card front end. It is Submit-compatible with
-// *phiserve.Server: Submit/Do/Start/Close/Stats have the same shapes, so
+// Fleet is the multi-card front end. It mirrors *phiserve.Server:
+// SubmitWork/DoWork/Start/Close/Stats have the same shapes, so
 // callers (the batchserver example, the facade) switch between one card
 // and a fleet without restructuring.
 type Fleet struct {
@@ -137,7 +135,8 @@ type Fleet struct {
 	delayRouted  *telemetry.Counter
 }
 
-// New validates cfg and builds a stopped fleet; call Start before Submit.
+// New validates cfg and builds a stopped fleet; call Start before
+// SubmitWork.
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	tel := cfg.Telemetry
@@ -324,21 +323,6 @@ func (f *Fleet) Start(ctx context.Context) {
 	}
 }
 
-// Submit routes one private-key operation to a card and returns its
-// result channel — the compat spelling of SubmitWork over the key's
-// canonical rsa-priv workload.
-func (f *Fleet) Submit(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (<-chan phiserve.Result, error) {
-	return f.SubmitWith(ctx, key, c, phiserve.SubmitOpts{})
-}
-
-// SubmitWith is Submit with admission metadata.
-func (f *Fleet) SubmitWith(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat, opts phiserve.SubmitOpts) (<-chan phiserve.Result, error) {
-	if key == nil {
-		return nil, fmt.Errorf("phifleet: nil key")
-	}
-	return f.SubmitWork(ctx, phiwork.RSAPrivateFor(key), phiwork.Input{A: c}, opts)
-}
-
 // SubmitWork routes one operation of any workload kind to a card and
 // returns its result channel. The workload's home card (hash order over
 // its RouteBytes) serves it unless the workload is hot — then it
@@ -365,19 +349,14 @@ func (f *Fleet) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.I
 	if w == nil {
 		return nil, fmt.Errorf("phifleet: nil workload")
 	}
-	// Reject dead-on-arrival work before routing burns anything.
-	if err := ctx.Err(); err != nil {
+	// Reject bad and dead-on-arrival work before routing burns anything.
+	if err := w.Validate(in); err != nil {
 		return nil, err
 	}
 	now := time.Now()
-	deadline := opts.Deadline
-	if deadline.IsZero() {
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
-		}
-	}
-	if !deadline.IsZero() && now.After(deadline) {
-		return nil, phiserve.ErrDeadlineExceeded
+	deadline, err := opts.ArrivalDeadline(ctx, now)
+	if err != nil {
+		return nil, err
 	}
 	order := f.ring.order(w)
 	why := "home"
@@ -479,32 +458,10 @@ func (f *Fleet) EstimatedDelay() time.Duration {
 	return best
 }
 
-// Do is the synchronous convenience wrapper: Submit then wait.
-func (f *Fleet) Do(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (phiserve.Result, error) {
-	ch, err := f.Submit(ctx, key, c)
-	if err != nil {
-		return phiserve.Result{}, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		return phiserve.Result{}, ctx.Err()
-	}
-}
-
 // DoWork is the synchronous convenience wrapper over SubmitWork.
 func (f *Fleet) DoWork(ctx context.Context, w phiwork.Workload, in phiwork.Input) (phiserve.Result, error) {
 	ch, err := f.SubmitWork(ctx, w, in, phiserve.SubmitOpts{})
-	if err != nil {
-		return phiserve.Result{}, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		return phiserve.Result{}, ctx.Err()
-	}
+	return phiserve.Wait(ctx, ch, err)
 }
 
 // Close shuts every card down (graceful drain while the context lives,

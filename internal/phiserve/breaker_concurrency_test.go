@@ -100,7 +100,7 @@ func TestHalfOpenProbeConcurrentSubmits(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < n; i += 8 {
-				ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+				ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 				if err != nil {
 					t.Errorf("submit %d: %v", i, err)
 					return
@@ -134,7 +134,7 @@ func TestHalfOpenProbeConcurrentSubmits(t *testing.T) {
 	extra := 0
 	deadline := time.Now().Add(10 * time.Second)
 	for s.Stats().BreakerState != "closed" && time.Now().Before(deadline) {
-		ch, err := s.Submit(context.Background(), testKey, cs[extra%nc])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[extra%nc])
 		if err != nil {
 			t.Fatalf("recovery submit: %v", err)
 		}

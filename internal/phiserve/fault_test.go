@@ -74,7 +74,7 @@ func TestInjectedBitFlipsNeverEscape(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -129,7 +129,7 @@ func TestKernelFailScriptRetriesThenFallsBack(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, BatchSize)
 	for i := range resps {
-		ch, err := s.Submit(context.Background(), testKey, cs[i])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,11 +193,12 @@ func TestBreakerTripsAndRecoversEndToEnd(t *testing.T) {
 	}
 	s.Start(context.Background())
 
-	collect := func(lo, hi int) {
+	// collect returns how many of the results came back fallback-served.
+	collect := func(lo, hi int) (fallbacks int64) {
 		t.Helper()
 		resps := make([]<-chan Result, 0, hi-lo)
 		for i := lo; i < hi; i++ {
-			ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+			ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 			if err != nil {
 				t.Fatalf("submit %d: %v", i, err)
 			}
@@ -208,20 +209,26 @@ func TestBreakerTripsAndRecoversEndToEnd(t *testing.T) {
 			if res.Err != nil || !res.M.Equal(want[(lo+j)%nc]) {
 				t.Fatalf("request %d: %+v", lo+j, res)
 			}
+			if res.Fallback {
+				fallbacks++
+			}
 		}
+		return fallbacks
 	}
 
 	// Two batches, both scripted to kernel-fail: trips the breaker
 	// (2 faulty passes >= threshold 0.5 with minSamples 2). Both are
-	// healed by the scalar fallback.
-	collect(0, BatchSize)
-	collect(BatchSize, 2*BatchSize)
+	// healed by the scalar fallback. Stats is read right after the last
+	// Result arrives: finish counts a lane before delivering it, so the
+	// count must already match exactly.
+	fallbacks := collect(0, BatchSize) + collect(BatchSize, 2*BatchSize)
 	st := s.Stats()
 	if st.BreakerTrips < 1 {
 		t.Fatalf("breaker never tripped: %+v", st)
 	}
-	if st.FallbackOps < 2*BatchSize {
-		t.Fatalf("FallbackOps=%d, want >= %d (both batches healed scalar)", st.FallbackOps, 2*BatchSize)
+	if fallbacks < 2*BatchSize || st.FallbackOps != fallbacks {
+		t.Fatalf("FallbackOps=%d, fallback results=%d, want equal and >= %d (both batches healed scalar)",
+			st.FallbackOps, fallbacks, 2*BatchSize)
 	}
 
 	// While open (inside cooldown), traffic still flows — straight to the
@@ -288,7 +295,7 @@ func TestStallRespawnsWorkerAndResolvesExactlyOnce(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, BatchSize)
 	for i := range resps {
-		ch, err := s.Submit(context.Background(), testKey, cs[i])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,7 +375,7 @@ func TestFaultHammer(t *testing.T) {
 	}
 	results := make(chan outcome, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

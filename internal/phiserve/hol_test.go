@@ -44,7 +44,7 @@ func TestDeadlineFiresWhileDispatchQueueSaturated(t *testing.T) {
 		t.Helper()
 		out := make([]<-chan Result, n)
 		for i := range out {
-			ch, err := s.Submit(context.Background(), key, bn.One())
+			ch, err := submitRSA(context.Background(), s, key, bn.One())
 			if err != nil {
 				t.Fatalf("submit: %v", err)
 			}

@@ -27,7 +27,7 @@
 //
 // Execution runs on a persistent phipool.Server: long-lived workers each
 // owning a private vector unit, a bounded batch queue whose fullness
-// propagates as backpressure to Submit, graceful drain on Close, and
+// propagates as backpressure to SubmitWork, graceful drain on Close, and
 // fail-fast rejection of queued batches when the context is canceled.
 // Results return asynchronously on a per-request channel together with
 // the simulated per-request latency; Stats aggregates queue depth, the
@@ -60,29 +60,29 @@ import (
 	"phiopenssl/internal/phipool"
 	"phiopenssl/internal/phitrace"
 	"phiopenssl/internal/phiwork"
-	"phiopenssl/internal/rsakit"
 	"phiopenssl/internal/telemetry"
+	"phiopenssl/internal/vbatch"
 	"phiopenssl/internal/vpu"
 )
 
 // BatchSize is the number of lanes in one batch (one request per lane).
-const BatchSize = rsakit.BatchSize
+const BatchSize = vbatch.BatchSize
 
-// Errors returned by Submit or delivered in Result.Err.
+// Errors returned by SubmitWork or delivered in Result.Err.
 var (
 	// ErrCanceled marks requests abandoned by context cancellation:
 	// requests still waiting in a per-workload buffer or in a batch that
 	// was queued but never executed. In-flight batches are drained, so
 	// their requests complete normally.
 	ErrCanceled = errors.New("phiserve: canceled")
-	// ErrClosed reports a Submit after Close.
+	// ErrClosed reports a SubmitWork after Close.
 	ErrClosed = errors.New("phiserve: server closed")
-	// ErrNotStarted reports a Submit before Start.
+	// ErrNotStarted reports a SubmitWork before Start.
 	ErrNotStarted = errors.New("phiserve: server not started")
 	// ErrDeadlineExceeded marks requests whose SLO deadline expired before
-	// a kernel pass could serve them: rejected at Submit (deadline already
-	// past), dropped when their batch sealed, or dropped at the dispatch
-	// queue / pre-pass filter. The lane never burns card cycles.
+	// a kernel pass could serve them: rejected at SubmitWork (deadline
+	// already past), dropped when their batch sealed, or dropped at the
+	// dispatch queue / pre-pass filter. The lane never burns card cycles.
 	ErrDeadlineExceeded = errors.New("phiserve: deadline exceeded before execution")
 	// ErrOverloaded marks requests shed because the scheduler's overflow
 	// list hit its cap (Config.OverflowCap): the dispatch queue and the
@@ -103,7 +103,7 @@ type Config struct {
 	// requests before dispatching. Defaults to 2ms.
 	FillDeadline time.Duration
 	// QueueDepth bounds the dispatch queue between the scheduler and the
-	// workers; a full queue blocks dispatch and, transitively, Submit
+	// workers; a full queue blocks dispatch and, transitively, SubmitWork
 	// (backpressure). The light-class fast lane gets its own queue of the
 	// same depth. Defaults to 2*Workers.
 	QueueDepth int
@@ -231,15 +231,15 @@ type Result struct {
 
 // request is one queued operation. A request's pointer can travel between
 // servers (the fleet's work stealing moves it via Adopt), so everything
-// needed to resolve it rides inside: the span string fixed at Submit
+// needed to resolve it rides inside: the span string fixed at SubmitWork
 // keeps trace identity unique across cards, and the done CAS keeps
 // resolution exactly-once no matter how many cards race.
 type request struct {
-	id   int64  // per-server ordinal, assigned by Submit
+	id   int64  // per-server ordinal, assigned by SubmitWork
 	span string // trace-span identity, globally unique (TrackBase-scoped)
 	work phiwork.Workload
 	in   phiwork.Input
-	at   time.Time    // Submit time, for the wall-latency histogram
+	at   time.Time    // SubmitWork time, for the wall-latency histogram
 	resp chan Result  // buffered(1); receives exactly one Result
 	done atomic.Bool  // set by Server.finish; guards exactly-once delivery
 	hops atomic.Int32 // Adopt count, bounding steal ping-pong
@@ -358,7 +358,7 @@ type Server struct {
 }
 
 // New validates cfg (applying defaults) and builds a stopped server; call
-// Start before Submit.
+// Start before SubmitWork.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Machine.MaxThreads() < 1 {
@@ -458,13 +458,6 @@ func (s *Server) Telemetry() *telemetry.Telemetry { return s.tel }
 // is harmless.
 const workTagCacheMax = 1024
 
-// KeyTag exposes the short display tag ("rsa-1024#2") of the key's
-// rsa-priv workload — the compat spelling of WorkTag for RSA-only
-// callers.
-func (s *Server) KeyTag(key *rsakit.PrivateKey) string {
-	return s.workTag(phiwork.RSAPrivateFor(key))
-}
-
 // WorkTag exposes a workload's short display tag ("dhe-fixed-modp2048#3")
 // so a fleet router can label the journeys it begins with the same tag
 // the card's own spans and journey events use.
@@ -528,15 +521,35 @@ func JourneyOutcome(err error) phitrace.Outcome {
 	}
 }
 
+// errAbandoned resolves a lane whose submitter gave up after intake: finish
+// delivers it as ErrCanceled and counts it in CanceledLanes, which the
+// shutdown paths' plain ErrCanceled resolutions do not touch.
+var errAbandoned = errors.New("phiserve: submitter abandoned the request")
+
 // finish resolves a request exactly once: with stalled-batch respawns and
 // retried passes, more than one execution path can race to answer the
 // same request, and only the first wins (reported by the return). As the
 // single resolution point it also owns completion accounting — the
+// outcome counters (canceled, expired, overflow-shed, fallback), the
 // completed/failed counters (total and per-workload), the wall-latency
-// histogram, and the close of the request's trace span.
+// histogram, and the close of the request's trace span — all before the
+// send, so Stats read right after a Result arrives already counts it.
 func (s *Server) finish(q *request, res Result) bool {
 	if !q.done.CompareAndSwap(false, true) {
 		return false
+	}
+	switch res.Err {
+	case errAbandoned:
+		res.Err = ErrCanceled
+		s.stats.canceledLanes.Inc()
+	case ErrDeadlineExceeded:
+		s.stats.expiredLanes.Inc()
+	case ErrOverloaded:
+		s.stats.overflowDropped.Inc()
+	case nil:
+		if res.Fallback {
+			s.stats.recordFallback(res.BatchCycles, res.SimLatency)
+		}
 	}
 	if res.Err != nil {
 		s.stats.failed.Inc()
@@ -574,34 +587,39 @@ func (s *Server) finish(q *request, res Result) bool {
 }
 
 // dropDeadLanes filters a request slice down to the lanes still worth
-// executing: already-resolved lanes are skipped silently; canceled and
-// deadline-expired lanes are resolved (and counted) here. Every point
-// that is about to spend card time on a slice runs it — batch seal, the
-// dispatch queue's expiry check, the pre-pass filter, the retry loop and
-// the scalar path — so a dead lane can never reach kernel execution, for
-// any workload class. checkpoint names the call site on the dropped
-// lane's journey, answering "which of the checkpoints caught it".
+// executing. Every point that is about to spend card time on a slice runs
+// it — batch seal, the dispatch queue's expiry check, the pre-pass filter,
+// the retry loop and the scalar path — so a dead lane can never reach
+// kernel execution, for any workload class.
 func (s *Server) dropDeadLanes(reqs []*request, checkpoint string) []*request {
 	now := time.Now()
 	live := make([]*request, 0, len(reqs))
 	for _, q := range reqs {
-		switch {
-		case q.done.Load():
-		case q.ctxDone():
-			q.journey.Event("checkpoint", s.cfg.Card, checkpoint)
-			if s.finish(q, Result{Err: ErrCanceled}) {
-				s.stats.canceledLanes.Inc()
-			}
-		case q.expiredAt(now):
-			q.journey.Event("checkpoint", s.cfg.Card, checkpoint)
-			if s.finish(q, Result{Err: ErrDeadlineExceeded}) {
-				s.stats.expiredLanes.Inc()
-			}
-		default:
+		if !s.dropDead(q, now, checkpoint) {
 			live = append(live, q)
 		}
 	}
 	return live
+}
+
+// dropDead reports whether a lane is dead at a pre-execution checkpoint:
+// already resolved, or abandoned by its submitter or past its deadline
+// (resolved here, with checkpoint naming the call site on its journey).
+func (s *Server) dropDead(q *request, now time.Time, checkpoint string) bool {
+	var err error
+	switch {
+	case q.done.Load():
+		return true
+	case q.ctxDone():
+		err = errAbandoned
+	case q.expiredAt(now):
+		err = ErrDeadlineExceeded
+	default:
+		return false
+	}
+	q.journey.Event("checkpoint", s.cfg.Card, checkpoint)
+	s.finish(q, Result{Err: err})
+	return true
 }
 
 // journeyNote builds an event note only when some lane actually carries a
@@ -743,21 +761,23 @@ type SubmitOpts struct {
 	Journey *phitrace.Journey
 }
 
-// Submit enqueues one private-key operation c^D mod N and returns the
-// channel its Result will arrive on — the compat spelling of SubmitWork
-// over the key's canonical rsa-priv workload. ctx bounds only this call's
-// wait (backpressure can block it); once nil is returned, exactly one
-// Result is guaranteed to arrive. c must be in [0, key.N).
-func (s *Server) Submit(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (<-chan Result, error) {
-	return s.SubmitWith(ctx, key, c, SubmitOpts{})
-}
-
-// SubmitWith is Submit with admission metadata.
-func (s *Server) SubmitWith(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat, opts SubmitOpts) (<-chan Result, error) {
-	if key == nil {
-		return nil, fmt.Errorf("phiserve: nil key")
+// ArrivalDeadline is every serving layer's dead-on-arrival check: it
+// returns the effective deadline (o.Deadline, else ctx's, else zero), or
+// ctx's error, or ErrDeadlineExceeded when that deadline is already past.
+func (o SubmitOpts) ArrivalDeadline(ctx context.Context, now time.Time) (time.Time, error) {
+	if err := ctx.Err(); err != nil {
+		return time.Time{}, err
 	}
-	return s.SubmitWork(ctx, phiwork.RSAPrivateFor(key), phiwork.Input{A: c}, opts)
+	deadline := o.Deadline
+	if deadline.IsZero() {
+		if d, ok := ctx.Deadline(); ok {
+			deadline = d
+		}
+	}
+	if !deadline.IsZero() && now.After(deadline) {
+		return deadline, ErrDeadlineExceeded
+	}
+	return deadline, nil
 }
 
 // SubmitWork enqueues one operation of any registered workload kind, with
@@ -780,21 +800,13 @@ func (s *Server) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.
 	if err := w.Validate(in); err != nil {
 		return nil, err
 	}
-	// Reject dead-on-arrival work before it can occupy a lane: a canceled
-	// context, or a deadline that has already passed.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	now := time.Now()
-	deadline := opts.Deadline
-	if deadline.IsZero() {
-		if d, ok := ctx.Deadline(); ok {
-			deadline = d
+	deadline, err := opts.ArrivalDeadline(ctx, now)
+	if err != nil {
+		if err == ErrDeadlineExceeded {
+			s.stats.expiredLanes.Inc()
 		}
-	}
-	if !deadline.IsZero() && now.After(deadline) {
-		s.stats.expiredLanes.Inc()
-		return nil, ErrDeadlineExceeded
+		return nil, err
 	}
 	s.mu.Lock()
 	if !s.started {
@@ -893,23 +905,15 @@ func (s *Server) SubmitWork(ctx context.Context, w phiwork.Workload, in phiwork.
 	}
 }
 
-// Do is the synchronous convenience wrapper: Submit then wait.
-func (s *Server) Do(ctx context.Context, key *rsakit.PrivateKey, c bn.Nat) (Result, error) {
-	ch, err := s.Submit(ctx, key, c)
-	if err != nil {
-		return Result{}, err
-	}
-	select {
-	case res := <-ch:
-		return res, nil
-	case <-ctx.Done():
-		return Result{}, ctx.Err()
-	}
-}
-
 // DoWork is the synchronous convenience wrapper over SubmitWork.
 func (s *Server) DoWork(ctx context.Context, w phiwork.Workload, in phiwork.Input) (Result, error) {
 	ch, err := s.SubmitWork(ctx, w, in, SubmitOpts{})
+	return Wait(ctx, ch, err)
+}
+
+// Wait is every layer's DoWork after its SubmitWork: it passes a submit
+// error through, else waits for the one Result or for ctx to end.
+func Wait(ctx context.Context, ch <-chan Result, err error) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
@@ -976,7 +980,7 @@ const overflowPollInterval = 250 * time.Microsecond
 // the dispatch queue froze fill deadlines and intake for every other.
 // Backpressure survives the fix, per class: once a class's overflow list
 // is QueueDepth deep the scheduler stops pulling that class's intake (a
-// nil channel never selects), so that intake buffer fills and Submit
+// nil channel never selects), so that intake buffer fills and SubmitWork
 // blocks — while the other class, deadline flushes and cancellation keep
 // being served. A heavy flood therefore backpressures heavy submitters
 // without ever gating the light lane.
@@ -1026,9 +1030,7 @@ func (s *Server) schedule() {
 			// batches keep their FIFO position — they are closest to their
 			// deadlines.
 			for _, r := range b.reqs {
-				if s.finish(r, Result{Err: ErrOverloaded}) {
-					s.stats.overflowDropped.Inc()
-				}
+				s.finish(r, Result{Err: ErrOverloaded})
 			}
 			return
 		}

@@ -12,6 +12,7 @@ import (
 	"phiopenssl/internal/core"
 	"phiopenssl/internal/engine"
 	"phiopenssl/internal/knc"
+	"phiopenssl/internal/phiwork"
 	"phiopenssl/internal/rsakit"
 )
 
@@ -25,6 +26,11 @@ func mustKey(bits int, seed int64) *rsakit.PrivateKey {
 		panic(err)
 	}
 	return k
+}
+
+// submitRSA submits one c^D mod N on key's canonical rsa-priv workload.
+func submitRSA(ctx context.Context, s *Server, key *rsakit.PrivateKey, c bn.Nat) (<-chan Result, error) {
+	return s.SubmitWork(ctx, phiwork.RSAPrivateFor(key), phiwork.Input{A: c}, SubmitOpts{})
 }
 
 // perOpAnswers precomputes PrivateOp reference answers for nc distinct
@@ -78,7 +84,7 @@ func TestThousandRequestsMatchPerOpAndBeatIt(t *testing.T) {
 
 	resps := make([]<-chan Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -125,7 +131,7 @@ func TestFillDeadlineDispatchesPartialBatch(t *testing.T) {
 	s.Start(context.Background())
 	var resps []<-chan Result
 	for _, c := range cs {
-		ch, err := s.Submit(context.Background(), testKey, c)
+		ch, err := submitRSA(context.Background(), s, testKey, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +186,7 @@ func TestCancelMidStreamDrainsInFlightFailsQueued(t *testing.T) {
 	accepted := 0
 	canceledAtSubmit := 0
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 		if err != nil {
 			if !errors.Is(err, ErrCanceled) {
 				t.Fatalf("submit %d: %v", i, err)
@@ -194,7 +200,7 @@ func TestCancelMidStreamDrainsInFlightFailsQueued(t *testing.T) {
 			cancel() // mid-stream
 		}
 	}
-	if _, err := s.Submit(context.Background(), testKey, cs[0]); !errors.Is(err, ErrCanceled) {
+	if _, err := submitRSA(context.Background(), s, testKey, cs[0]); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Submit after cancel: %v", err)
 	}
 	s.Close()
@@ -241,7 +247,7 @@ func TestGracefulCloseFlushesOpenBatch(t *testing.T) {
 	s.Start(context.Background())
 	var resps []<-chan Result
 	for _, c := range cs {
-		ch, err := s.Submit(context.Background(), testKey, c)
+		ch, err := submitRSA(context.Background(), s, testKey, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +264,7 @@ func TestGracefulCloseFlushesOpenBatch(t *testing.T) {
 			t.Fatalf("request %d after graceful close: %+v", i, res)
 		}
 	}
-	if _, err := s.Submit(context.Background(), testKey, cs[0]); !errors.Is(err, ErrClosed) {
+	if _, err := submitRSA(context.Background(), s, testKey, cs[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: %v", err)
 	}
 	s.Close() // idempotent
@@ -293,11 +299,11 @@ func TestTwoKeysNeverShareABatch(t *testing.T) {
 	s.Start(context.Background())
 	var respsA, respsB []<-chan Result
 	for i := 0; i < 8; i++ {
-		chA, err := s.Submit(context.Background(), testKey, csA[i])
+		chA, err := submitRSA(context.Background(), s, testKey, csA[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		chB, err := s.Submit(context.Background(), keyB, csB[i])
+		chB, err := submitRSA(context.Background(), s, keyB, csB[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,17 +333,17 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(context.Background(), testKey, bn.One()); !errors.Is(err, ErrNotStarted) {
+	if _, err := submitRSA(context.Background(), s, testKey, bn.One()); !errors.Is(err, ErrNotStarted) {
 		t.Fatalf("Submit before Start: %v", err)
 	}
-	if _, err := s.Submit(context.Background(), nil, bn.One()); err == nil {
+	if _, err := s.SubmitWork(context.Background(), phiwork.RSAPrivateFor(nil), phiwork.Input{A: bn.One()}, SubmitOpts{}); err == nil {
 		t.Fatal("nil key accepted")
 	}
-	if _, err := s.Submit(context.Background(), testKey, testKey.N); err == nil {
+	if _, err := submitRSA(context.Background(), s, testKey, testKey.N); err == nil {
 		t.Fatal("out-of-range ciphertext accepted")
 	}
 	s.Start(context.Background())
-	res, err := s.Do(context.Background(), testKey, bn.One())
+	res, err := s.DoWork(context.Background(), phiwork.RSAPrivateFor(testKey), phiwork.Input{A: bn.One()})
 	if err != nil || res.Err != nil || !res.M.Equal(bn.One()) {
 		t.Fatalf("Do(1^d mod n): %+v, %v", res, err)
 	}

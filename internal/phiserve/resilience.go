@@ -436,24 +436,10 @@ func (s *Server) backoff(w *worker, attempt int) bool {
 // the given track.
 func (s *Server) runScalarOn(eng engine.Engine, reqs []*request, attempts int, tid int64) {
 	for _, q := range reqs {
-		if q.done.Load() {
-			continue
-		}
 		// Scalar ops are serial and slow; re-judge each lane right before
 		// spending an op on it so a deadline that expires mid-drain stops
 		// costing cycles immediately.
-		if q.ctxDone() {
-			q.journey.Event("checkpoint", s.cfg.Card, "scalar")
-			if s.finish(q, Result{Err: ErrCanceled}) {
-				s.stats.canceledLanes.Inc()
-			}
-			continue
-		}
-		if q.expiredAt(time.Now()) {
-			q.journey.Event("checkpoint", s.cfg.Card, "scalar")
-			if s.finish(q, Result{Err: ErrDeadlineExceeded}) {
-				s.stats.expiredLanes.Inc()
-			}
+		if s.dropDead(q, time.Now(), "scalar") {
 			continue
 		}
 		q.journey.Event("fallback", s.cfg.Card, "attempt="+fmt.Sprint(attempts))
@@ -468,16 +454,14 @@ func (s *Server) runScalarOn(eng engine.Engine, reqs []*request, attempts int, t
 			s.finish(q, Result{Err: err, Fallback: true, Attempts: attempts})
 			continue
 		}
-		if s.finish(q, Result{
+		s.finish(q, Result{
 			M:           m,
 			BatchFill:   1,
 			BatchCycles: cycles,
 			SimLatency:  simLat,
 			Fallback:    true,
 			Attempts:    attempts,
-		}) {
-			s.stats.recordFallback(cycles, simLat)
-		}
+		})
 	}
 }
 

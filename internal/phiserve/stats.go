@@ -17,7 +17,7 @@ import (
 // from the same counters the /metrics endpoint exports, so the two
 // surfaces cannot drift apart.
 type Stats struct {
-	// Submitted / Completed / Failed count requests accepted by Submit,
+	// Submitted / Completed / Failed count requests accepted by SubmitWork,
 	// resolved with a plaintext, and resolved with an error
 	// (cancellation included). Completed includes fallback-served ops.
 	Submitted, Completed, Failed int64

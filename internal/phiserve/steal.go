@@ -127,25 +127,9 @@ func (s *Server) Adopt(ops []StolenOp) int {
 	n := 0
 	now := time.Now()
 	for _, o := range ops {
-		if o.q.done.Load() {
-			n++ // nothing left to move; the donor must not serve it either
-			continue
-		}
-		// Judge the op before paying to move it: an expired or abandoned
-		// lane resolves here and counts as taken, so neither card runs it.
-		if o.q.ctxDone() {
-			o.q.journey.Event("checkpoint", s.cfg.Card, "adopt")
-			if s.finish(o.q, Result{Err: ErrCanceled}) {
-				s.stats.canceledLanes.Inc()
-			}
-			n++
-			continue
-		}
-		if o.q.expiredAt(now) {
-			o.q.journey.Event("checkpoint", s.cfg.Card, "adopt")
-			if s.finish(o.q, Result{Err: ErrDeadlineExceeded}) {
-				s.stats.expiredLanes.Inc()
-			}
+		// Judge the op before paying to move it: a resolved, expired or
+		// abandoned lane counts as taken, so neither card runs it.
+		if s.dropDead(o.q, now, "adopt") {
 			n++
 			continue
 		}

@@ -37,7 +37,7 @@ func TestTelemetrySmoke(t *testing.T) {
 	s.Start(context.Background())
 	resps := make([]<-chan Result, n)
 	for i := 0; i < n; i++ {
-		ch, err := s.Submit(context.Background(), testKey, cs[i%nc])
+		ch, err := submitRSA(context.Background(), s, testKey, cs[i%nc])
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}

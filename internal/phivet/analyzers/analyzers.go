@@ -1,4 +1,4 @@
-// Package analyzers holds the phivet suite: five analyzers, each
+// Package analyzers holds the phivet suite: six analyzers, each
 // machine-checking a discipline the serving stack otherwise enforces only
 // at runtime (and only on the paths a given test run happens to
 // exercise). Every analyzer is grounded in a real past bug class; see the
@@ -16,5 +16,6 @@ func All() []*analysis.Analyzer {
 		JourneyTerm,
 		LockBlock,
 		PhaseCharge,
+		ServeLayer,
 	}
 }

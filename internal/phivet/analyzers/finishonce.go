@@ -8,8 +8,8 @@ import (
 
 // FinishOnce enforces the exactly-once resolution discipline of the
 // serving stack: a request's result must flow through the designated
-// finish path (Server.finish, the done-CAS single resolution point —
-// phiserve.go:495). With stall respawns, fault retries, work stealing and
+// finish path (Server.finish in phiserve.go, the done-CAS single
+// resolution point). With stall respawns, fault retries, work stealing and
 // breaker fallback, several execution paths can race to answer the same
 // request; the CAS in finish is what keeps delivery exactly-once and the
 // completion accounting single-homed. A direct send on a request's resp

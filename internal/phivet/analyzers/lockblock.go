@@ -11,10 +11,10 @@ import (
 // LockBlock flags potentially-blocking operations performed while a
 // sync.Mutex/RWMutex is held: channel sends and receives, selects without
 // a default clause, ranging over a channel, sync.WaitGroup.Wait, and the
-// stack's known blocking calls (Submit/SubmitWith and the Redispatch
-// hook). This is the deadlock class behind PR 5's head-of-line fix: the
-// scheduler blocked on a full dispatch queue while owning state the
-// drainers needed. A lock held across a blocking operation couples the
+// stack's known blocking calls (Submit, SubmitWork/DoWork and the
+// Redispatch hook). This is the deadlock class behind the scheduler's
+// head-of-line fix: the scheduler blocked on a full dispatch queue while
+// owning state the drainers needed. A lock held across a blocking operation couples the
 // lock's critical section to another goroutine's progress — the shape
 // every deadlock in this codebase has taken.
 //
@@ -28,7 +28,7 @@ import (
 // attempts, not waits).
 var LockBlock = &analysis.Analyzer{
 	Name: "lockblock",
-	Doc:  "no channel operation or blocking Submit/Redispatch while a mutex is held",
+	Doc:  "no channel operation or blocking Submit/SubmitWork/DoWork/Redispatch while a mutex is held",
 	Run:  runLockBlock,
 }
 
@@ -36,8 +36,9 @@ var LockBlock = &analysis.Analyzer{
 // goroutine's progress. Wait is handled separately (type-gated to
 // sync.WaitGroup so condition variables and errgroups stay out of scope).
 var blockingCalls = map[string]bool{
-	"Submit":     true,
-	"SubmitWith": true,
+	"Submit":     true, // phipool.Server: blocks on a full batch queue
+	"SubmitWork": true, // every serving layer: blocks on intake backpressure
+	"DoWork":     true, // SubmitWork, then waits for the Result
 	"Redispatch": true,
 }
 

@@ -19,6 +19,8 @@ type table struct {
 type pool struct{}
 
 func (p *pool) Submit(v int)         {}
+func (p *pool) SubmitWork(v int)     {}
+func (p *pool) DoWork(v int)         {}
 func (p *pool) TrySubmit(v int) bool { return true }
 func (p *pool) Redispatch(v int)     {}
 
@@ -94,6 +96,25 @@ func submitHeld(q *queue, p *pool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	p.Submit(1) // want `blocking Submit call while holding q\.mu`
+}
+
+func submitWorkHeld(q *queue, p *pool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	p.SubmitWork(1) // want `blocking SubmitWork call while holding q\.mu`
+}
+
+func doWorkHeld(q *queue, p *pool) {
+	q.mu.Lock()
+	p.DoWork(1) // want `blocking DoWork call while holding q\.mu`
+	q.mu.Unlock()
+}
+
+func submitWorkReleased(q *queue, p *pool) {
+	q.mu.Lock()
+	q.items = append(q.items, 1)
+	q.mu.Unlock()
+	p.SubmitWork(1) // lock released first
 }
 
 func redispatchHeld(q *queue, p *pool) {

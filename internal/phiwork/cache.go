@@ -13,8 +13,8 @@ import (
 // (an RSA key, a DH group) into a Workload must hand out the *same*
 // instance for the same identity — otherwise two submissions of the same
 // key would open two half-empty batches. These process-wide caches are
-// that canonicalization point: the compat Submit wrappers in phiserve,
-// phifleet and phiadmit all resolve through them.
+// that canonicalization point: callers of every serving layer's
+// SubmitWork resolve their keys and groups through them.
 //
 // Each cache is bounded by CacheMax, the same discipline as phiserve's
 // keyTag cache: a long-lived process churning through millions of

@@ -1,6 +1,7 @@
 package phiwork
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -12,6 +13,10 @@ import (
 
 // The RSA-keyed workloads: the original private op, PSS signing (the same
 // pass over pre-encoded reps) and the cheap public op.
+
+// errNilKey is what Validate returns for a workload built over a nil key,
+// so a serving layer rejects the request instead of panicking on it.
+var errNilKey = errors.New("phiwork: nil key")
 
 // routeBytes builds the stable ring identity: the kind string, a zero
 // separator, then the modulus bytes.
@@ -78,6 +83,9 @@ func (w *RSAPrivate) Bits() int { return w.Key.N.BitLen() }
 
 // Validate implements Workload.
 func (w *RSAPrivate) Validate(in Input) error {
+	if w.Key == nil {
+		return errNilKey
+	}
 	if in.A.Cmp(w.Key.N) >= 0 {
 		return fmt.Errorf("phiwork: ciphertext out of range")
 	}
@@ -126,6 +134,9 @@ func (w *PSSSign) Bits() int { return w.Key.N.BitLen() }
 // Validate implements Workload. The encoded rep is < 2^(N.BitLen()-1) by
 // construction; anything >= N is malformed.
 func (w *PSSSign) Validate(in Input) error {
+	if w.Key == nil {
+		return errNilKey
+	}
 	if in.A.Cmp(w.Key.N) >= 0 {
 		return fmt.Errorf("phiwork: PSS encoded rep out of range")
 	}
@@ -169,6 +180,9 @@ func (w *RSAPublic) Bits() int { return w.Key.N.BitLen() }
 
 // Validate implements Workload.
 func (w *RSAPublic) Validate(in Input) error {
+	if w.Key == nil {
+		return errNilKey
+	}
 	if in.A.Cmp(w.Key.N) >= 0 {
 		return fmt.Errorf("phiwork: message out of range")
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // JourneyRecorder collects per-request journey records — one timeline per
-// Submit, accumulating door/route/seal/pass/terminal events as the request
+// submission, accumulating door/route/seal/pass/terminal events as the request
 // moves through admission, the fleet router, the batch scheduler and the
 // worker pool — and resolves each into a tail-sampled ring: anomalous
 // journeys (shed, expired, faulted, stolen, retried, or slower than a

@@ -64,6 +64,7 @@ func TestFacadeRSAPrivateBatchN(t *testing.T) {
 
 func TestFacadeBatchServer(t *testing.T) {
 	key := bench.FixedKey(512)
+	w := phiopenssl.RSAPrivateWorkload(key)
 	eng := phiopenssl.NewEngine(phiopenssl.EngineOpenSSL)
 
 	srv, err := phiopenssl.NewBatchServer(phiopenssl.BatchServerConfig{
@@ -73,8 +74,8 @@ func TestFacadeBatchServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Submit(context.Background(), key, phiopenssl.NatFromUint64(1)); !errors.Is(err, phiopenssl.ErrServerNotStarted) {
-		t.Fatalf("Submit before Start: %v", err)
+	if _, err := srv.SubmitWork(context.Background(), w, phiopenssl.WorkloadInput{A: phiopenssl.NatFromUint64(1)}, phiopenssl.SubmitOpts{}); !errors.Is(err, phiopenssl.ErrServerNotStarted) {
+		t.Fatalf("SubmitWork before Start: %v", err)
 	}
 	srv.Start(context.Background())
 
@@ -87,7 +88,7 @@ func TestFacadeBatchServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := srv.Submit(context.Background(), key, c)
+		ch, err := srv.SubmitWork(context.Background(), w, phiopenssl.WorkloadInput{A: c}, phiopenssl.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +101,8 @@ func TestFacadeBatchServer(t *testing.T) {
 		}
 	}
 	srv.Close()
-	if _, err := srv.Submit(context.Background(), key, phiopenssl.NatFromUint64(1)); !errors.Is(err, phiopenssl.ErrServerClosed) {
-		t.Fatalf("Submit after Close: %v", err)
+	if _, err := srv.SubmitWork(context.Background(), w, phiopenssl.WorkloadInput{A: phiopenssl.NatFromUint64(1)}, phiopenssl.SubmitOpts{}); !errors.Is(err, phiopenssl.ErrServerClosed) {
+		t.Fatalf("SubmitWork after Close: %v", err)
 	}
 
 	st := srv.Stats()
@@ -121,6 +122,7 @@ func TestFacadeBatchServer(t *testing.T) {
 // and healed with correct plaintexts and visible counters.
 func TestFacadeBatchServerResilience(t *testing.T) {
 	key := bench.FixedKey(512)
+	w := phiopenssl.RSAPrivateWorkload(key)
 	eng := phiopenssl.NewEngine(phiopenssl.EngineOpenSSL)
 
 	srv, err := phiopenssl.NewBatchServer(phiopenssl.BatchServerConfig{
@@ -149,7 +151,7 @@ func TestFacadeBatchServerResilience(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ch, err := srv.Submit(context.Background(), key, c)
+		ch, err := srv.SubmitWork(context.Background(), w, phiopenssl.WorkloadInput{A: c}, phiopenssl.SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
